@@ -14,4 +14,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"]
+__all__ = ["__version__", "CodedError"]
+
+
+class CodedError(Exception):
+    """Base of every package error; ``code`` is a stable identifier."""
+
+    def __init__(self, code: str, message: str = "") -> None:
+        super().__init__(message or code)
+        self.code = code

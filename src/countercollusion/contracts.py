@@ -33,6 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import CodedError
 from .crypto import Commitment, EqProof, GroupParams, NeqProof, verify_eq, verify_neq
 from .ledger import AccountId, Ledger, Money
 
@@ -48,16 +49,11 @@ __all__ = [
 ]
 
 
-class ContractError(Exception):
-    """Contract precondition failure; ``code`` is a stable identifier."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code
+class ContractError(CodedError):
+    """Contract precondition failure."""
 
 
 class PCState(enum.Enum):
-    INIT = "INIT"  # conceptual off-chain state before creation
     CREATED = "CREATED"
     COMPUTE = "COMPUTE"
     PAY = "PAY"
@@ -67,7 +63,6 @@ class PCState(enum.Enum):
 
 
 class CCState(enum.Enum):
-    INIT = "INIT"
     CREATED = "CREATED"
     COLLUDED = "COLLUDED"
     DONE = "DONE"
@@ -75,7 +70,6 @@ class CCState(enum.Enum):
 
 
 class TCState(enum.Enum):
-    INIT = "INIT"
     CREATED = "CREATED"
     JOINED = "JOINED"
     COMPUTED = "COMPUTED"

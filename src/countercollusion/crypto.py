@@ -29,6 +29,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from . import CodedError
+
 __all__ = [
     "CryptoError",
     "GroupParams",
@@ -62,12 +64,8 @@ NEQ_TAG = b"countercollusion/nizk-neq/v1"
 Scalar = int
 
 
-class CryptoError(Exception):
-    """Cryptographic precondition failure; ``code`` is a stable identifier."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code
+class CryptoError(CodedError):
+    """Cryptographic precondition failure."""
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,14 @@ ledger deltas must equal the tree's utilities exactly.
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
+from . import CodedError
 from .ledger import Params, validate_params
 
 __all__ = [
@@ -50,20 +53,12 @@ __all__ = [
     "check_consistency",
     "analyze_reference",
     "payoff_crosscheck",
+    "terminal_label",
     "GAME_IDS",
 ]
 
-GAME_IDS = ("g1", "g2", "g3", "g4")
-
-_ACTS = ("fx", "r", "other")
-
-
-class GameError(Exception):
-    """Game-structure or assessment failure; ``code`` is a stable identifier."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code
+class GameError(CodedError):
+    """Game-structure or assessment failure."""
 
 
 # ---------------------------------------------------------------------------
@@ -251,132 +246,126 @@ def _coalition_report_cell(p: Params, rho: int, i: int, j: int) -> tuple[int, in
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# The layered model: one family table, one builder
 # ---------------------------------------------------------------------------
 
-
-def _terminal(nid: str, cell: tuple[int, int], label: str) -> Node:
-    return Node(node_id=nid, utilities=(Fraction(cell[0]), Fraction(cell[1])), label=label)
-
-
-def _decision(nid: str, player: int, set_id: str, children: dict[str, str]) -> Node:
-    return Node(node_id=nid, player=player, info_set=set_id, children=children)
-
-
-def _build_g1(p: Params) -> Game:
-    nodes = {"v0": _decision("v0", 1, "I1", {a: f"v{1 + i}" for i, a in enumerate(_ACTS)})}
-    for i in range(3):
-        nodes[f"v{1 + i}"] = _decision(
-            f"v{1 + i}", 2, "I2", {a: f"v{4 + 3 * i + j}" for j, a in enumerate(_ACTS)}
-        )
-        for j in range(3):
-            n = 4 + 3 * i + j
-            nodes[f"v{n}"] = _terminal(f"v{n}", _plain_cell(p, i, j), f"G1:v{n}")
-    info_sets = {
-        "I1": InfoSet("I1", 1, ("v0",), _ACTS),
-        "I2": InfoSet("I2", 2, ("v1", "v2", "v3"), _ACTS),
-    }
-    return Game("g1", p, nodes, info_sets, player_roles={1: "C1", 2: "C2"})
+_INITIATE = ("no_init", "init")
+_COLLUDE = ("no_collude", "collude")
+_REPORTS = ("no_report", "report_correct", "report_wrong")
+_DELIVERIES = ("fx", "r", "other")
+# declining a coalition offer ends the game in the family without the
+# coalition prefix, with both clouds delivering the true result
+_DECLINES = ("no_init", "no_collude")
 
 
-def _build_g2(p: Params) -> Game:
-    baseline = (p.w - p.c, p.w - p.c)  # both-honest play of the plain game
-    nodes = {
-        "v0": _decision("v0", 1, "I1.1", {"no_init": "u0", "init": "v1"}),
-        "u0": _terminal("u0", baseline, "G1:v4"),
-        "v1": _decision("v1", 2, "I2.1", {"no_collude": "u1", "collude": "v2"}),
-        "u1": _terminal("u1", baseline, "G1:v4"),
-        "v2": _decision("v2", 1, "I1.2", {a: f"v{3 + i}" for i, a in enumerate(_ACTS)}),
-    }
-    for i in range(3):
-        nodes[f"v{3 + i}"] = _decision(
-            f"v{3 + i}", 2, "I2.2", {a: f"v{6 + 3 * i + j}" for j, a in enumerate(_ACTS)}
-        )
-        for j in range(3):
-            n = 6 + 3 * i + j
-            nodes[f"v{n}"] = _terminal(f"v{n}", _coalition_cell(p, i, j), f"G2:v{n}")
-    info_sets = {
-        "I1.1": InfoSet("I1.1", 1, ("v0",), ("no_init", "init")),
-        "I2.1": InfoSet("I2.1", 2, ("v1",), ("no_collude", "collude")),
-        "I1.2": InfoSet("I1.2", 1, ("v2",), _ACTS),
-        "I2.2": InfoSet("I2.2", 2, ("v3", "v4", "v5"), _ACTS),
-    }
-    return Game("g2", p, nodes, info_sets, player_roles={1: "LDR", 2: "FLR"})
+@dataclass(frozen=True)
+class _Family:
+    """A game family: which optional layers precede the 3x3 delivery block.
+
+    ``cell(params, rho, i, j)`` gives the terminal utilities after report
+    ``rho`` (0 without a report layer) and the deliveries ``i`` of player 1
+    and ``j`` of player 2; ``equilibrium`` holds the reference action of each
+    layer, in order of play.
+    """
+
+    coalition: bool  # player 1 initiates a coalition, player 2 colludes
+    report: bool  # player 2 may report the (possibly decoy) coalition
+    roles: tuple[str, str]
+    cell: Callable[[Params, int, int, int], tuple[int, int]]
+    equilibrium: tuple[str, ...]
+
+    @property
+    def layers(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
+        """``(player, actions)`` per layer, in order of play."""
+        coalition = ((1, _INITIATE), (2, _COLLUDE)) if self.coalition else ()
+        report = ((2, _REPORTS),) if self.report else ()
+        return coalition + report + ((1, _DELIVERIES), (2, _DELIVERIES))
 
 
-_REPORT_ACTS = ("no_report", "report_correct", "report_wrong")
+_FAMILIES = {
+    "g1": _Family(False, False, ("C1", "C2"),
+                  lambda p, rho, i, j: _plain_cell(p, i, j), ("fx", "fx")),
+    "g2": _Family(True, False, ("LDR", "FLR"),
+                  lambda p, rho, i, j: _coalition_cell(p, i, j), ("init", "collude", "r", "r")),
+    "g3": _Family(False, True, ("OTH", "TRA"), _report_cell, ("no_report", "fx", "fx")),
+    "g4": _Family(True, True, ("LDR", "FLR"), _coalition_report_cell,
+                  ("no_init", "collude", "report_correct", "r", "r")),
+}
+
+GAME_IDS = tuple(_FAMILIES)
 
 
-def _build_g3(p: Params) -> Game:
-    nodes = {
-        "v0": _decision("v0", 2, "I2.1", {a: f"v{1 + r}" for r, a in enumerate(_REPORT_ACTS)})
-    }
-    for rho in range(3):
-        nodes[f"v{1 + rho}"] = _decision(
-            f"v{1 + rho}", 1, "I1", {a: f"v{4 + 3 * rho + i}" for i, a in enumerate(_ACTS)}
-        )
-        for i in range(3):
-            nid = f"v{4 + 3 * rho + i}"
-            nodes[nid] = _decision(
-                nid, 2, f"I2.{2 + rho}",
-                {a: f"v{13 + 9 * rho + 3 * i + j}" for j, a in enumerate(_ACTS)},
-            )
-            for j in range(3):
-                n = 13 + 9 * rho + 3 * i + j
-                nodes[f"v{n}"] = _terminal(f"v{n}", _report_cell(p, rho, i, j), f"G3:v{n}")
-    info_sets = {
-        "I2.1": InfoSet("I2.1", 2, ("v0",), _REPORT_ACTS),
-        "I1": InfoSet("I1", 1, ("v1", "v2", "v3"), _ACTS),
-        "I2.2": InfoSet("I2.2", 2, ("v4", "v5", "v6"), _ACTS),
-        "I2.3": InfoSet("I2.3", 2, ("v7", "v8", "v9"), _ACTS),
-        "I2.4": InfoSet("I2.4", 2, ("v10", "v11", "v12"), _ACTS),
-    }
-    return Game("g3", p, nodes, info_sets, player_roles={1: "OTH", 2: "TRA"})
+def _layout(game_id: str):
+    """Number the family's nodes layer by layer, breadth first: ``v0, v1, ...``
+    for nodes that continue the engagement and ``u0, u1`` for declined
+    offers.  No player sees the move just before its own, so the decision
+    children of one node form one info set; info sets are named per player
+    in order of play, with a ``.k`` suffix only if the player owns several.
+
+    Returns the decision nodes, the info sets, and each terminal's payoff
+    cell ``(rho, i, j)`` (``None`` for a declined offer)."""
+    layers = _FAMILIES[game_id].layers
+    v_ids, u_ids = itertools.count(1), itertools.count()
+    groups = [(0, ("v0",))]  # (layer, sibling decision nodes), in order of play
+    cells: dict[str, tuple[int, ...]] = {"v0": ()}  # report and delivery indices so far
+    children_of: dict[str, dict[str, str]] = {}
+    terminals: dict[str, Optional[tuple[int, ...]]] = {}
+    for depth, (_, actions) in enumerate(layers):
+        last = depth == len(layers) - 1
+        for nid in [n for layer, members in groups if layer == depth for n in members]:
+            children = children_of[nid] = {}
+            for k, action in enumerate(actions):
+                if action in _DECLINES:
+                    children[action] = child = f"u{next(u_ids)}"
+                    terminals[child] = None
+                    continue
+                children[action] = child = f"v{next(v_ids)}"
+                # accepting a coalition move leaves the payoff cell open
+                cells[child] = cells[nid] if actions[0] in _DECLINES else cells[nid] + (k,)
+                if last:  # rho is 0 without a report layer
+                    terminals[child] = (0,) * (3 - len(cells[child])) + cells[child]
+            if not last:
+                groups.append((depth + 1, tuple(c for c in children.values() if c not in terminals)))
+    owned = collections.Counter(layers[depth][0] for depth, _ in groups)
+    numbered: collections.Counter = collections.Counter()
+    decisions: dict[str, Node] = {}
+    info_sets: dict[str, InfoSet] = {}
+    for depth, members in groups:
+        player, actions = layers[depth]
+        numbered[player] += 1
+        set_id = f"I{player}.{numbered[player]}" if owned[player] > 1 else f"I{player}"
+        info_sets[set_id] = InfoSet(set_id, player, members, actions)
+        for nid in members:
+            decisions[nid] = Node(nid, player=player, info_set=set_id, children=children_of[nid])
+    return decisions, info_sets, terminals
 
 
-def _build_g4(p: Params) -> Game:
-    baseline = (p.w - p.c, p.w - p.c)  # both-honest play of the reporting game
-    nodes = {
-        "v0": _decision("v0", 1, "I1.1", {"no_init": "u0", "init": "v1"}),
-        "u0": _terminal("u0", baseline, "G3:v13"),
-        "v1": _decision("v1", 2, "I2.1", {"no_collude": "u1", "collude": "v2"}),
-        "u1": _terminal("u1", baseline, "G3:v13"),
-        "v2": _decision("v2", 2, "I2.2", {a: f"v{3 + r}" for r, a in enumerate(_REPORT_ACTS)}),
-    }
-    for rho in range(3):
-        nodes[f"v{3 + rho}"] = _decision(
-            f"v{3 + rho}", 1, "I1.2", {a: f"v{6 + 3 * rho + i}" for i, a in enumerate(_ACTS)}
-        )
-        for i in range(3):
-            nid = f"v{6 + 3 * rho + i}"
-            nodes[nid] = _decision(
-                nid, 2, f"I2.{3 + rho}",
-                {a: f"v{15 + 9 * rho + 3 * i + j}" for j, a in enumerate(_ACTS)},
-            )
-            for j in range(3):
-                n = 15 + 9 * rho + 3 * i + j
-                nodes[f"v{n}"] = _terminal(
-                    f"v{n}", _coalition_report_cell(p, rho, i, j), f"G4:v{n}"
-                )
-    info_sets = {
-        "I1.1": InfoSet("I1.1", 1, ("v0",), ("no_init", "init")),
-        "I2.1": InfoSet("I2.1", 2, ("v1",), ("no_collude", "collude")),
-        "I2.2": InfoSet("I2.2", 2, ("v2",), _REPORT_ACTS),
-        "I1.2": InfoSet("I1.2", 1, ("v3", "v4", "v5"), _ACTS),
-        "I2.3": InfoSet("I2.3", 2, ("v6", "v7", "v8"), _ACTS),
-        "I2.4": InfoSet("I2.4", 2, ("v9", "v10", "v11"), _ACTS),
-        "I2.5": InfoSet("I2.5", 2, ("v12", "v13", "v14"), _ACTS),
-    }
-    return Game("g4", p, nodes, info_sets, player_roles={1: "LDR", 2: "FLR"})
-
-
-_BUILDERS = {"g1": _build_g1, "g2": _build_g2, "g3": _build_g3, "g4": _build_g4}
+@functools.lru_cache(maxsize=None)
+def terminal_label(game_id: str, rho: int, i: int, j: int) -> str:
+    """Label of the terminal reached after report ``rho`` (0 = none) and the
+    deliveries ``i`` of player 1 and ``j`` of player 2 (0 = fx, 1 = r,
+    2 = other)."""
+    terminals = _layout(game_id)[2]
+    return next(f"{game_id.upper()}:{nid}" for nid, cell in terminals.items()
+                if cell == (rho, i, j))
 
 
 def build_game(game_id: str, params: Params) -> Game:
-    if game_id not in _BUILDERS:
+    if game_id not in _FAMILIES:
         raise GameError("unknown-game", f"no game {game_id!r}")
-    return _BUILDERS[game_id](params)
+    family, (decisions, info_sets, terminals) = _FAMILIES[game_id], _layout(game_id)
+    plain = next(g for g, f in _FAMILIES.items() if not f.coalition and f.report == family.report)
+    nodes = dict(decisions)
+    for nid, cell in terminals.items():
+        if cell is None:
+            utilities = _FAMILIES[plain].cell(params, 0, 0, 0)
+            label = terminal_label(plain, 0, 0, 0)
+        else:
+            utilities, label = family.cell(params, *cell), f"{game_id.upper()}:{nid}"
+        nodes[nid] = Node(nid, utilities=(Fraction(utilities[0]), Fraction(utilities[1])),
+                          label=label)
+    return Game(game_id, params, nodes, dict(info_sets),
+                player_roles=dict(enumerate(family.roles, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,61 +409,27 @@ def reference_equilibrium(game: Game) -> Assessment:
           any report).
     g4 -- the ringleader does not initiate; the follower would collude,
           report correctly, and deliver the agreed wrong result throughout.
+
+    Beliefs are the Bayes posteriors under the profile: the nodes of a
+    multi-node info set are siblings, so each gets the probability its
+    parent's info set puts on the action that leads to it.
     """
-    gid = game.game_id
-    if gid == "g1":
-        profile = {"I1": _pure("fx", _ACTS), "I2": _pure("fx", _ACTS)}
-        beliefs = {"I1": {"v0": Fraction(1)},
-                   "I2": {"v1": Fraction(1), "v2": Fraction(0), "v3": Fraction(0)}}
-    elif gid == "g2":
-        profile = {
-            "I1.1": _pure("init", ("no_init", "init")),
-            "I2.1": _pure("collude", ("no_collude", "collude")),
-            "I1.2": _pure("r", _ACTS),
-            "I2.2": _pure("r", _ACTS),
-        }
-        beliefs = {
-            "I1.1": {"v0": Fraction(1)},
-            "I2.1": {"v1": Fraction(1)},
-            "I1.2": {"v2": Fraction(1)},
-            "I2.2": {"v3": Fraction(0), "v4": Fraction(1), "v5": Fraction(0)},
-        }
-    elif gid == "g3":
-        profile = {
-            "I2.1": _pure("no_report", _REPORT_ACTS),
-            "I1": _pure("fx", _ACTS),
-            "I2.2": _pure("fx", _ACTS),
-            "I2.3": _pure("fx", _ACTS),
-            "I2.4": _pure("fx", _ACTS),
-        }
-        beliefs = {
-            "I2.1": {"v0": Fraction(1)},
-            "I1": {"v1": Fraction(1), "v2": Fraction(0), "v3": Fraction(0)},
-            "I2.2": {"v4": Fraction(1), "v5": Fraction(0), "v6": Fraction(0)},
-            "I2.3": {"v7": Fraction(1), "v8": Fraction(0), "v9": Fraction(0)},
-            "I2.4": {"v10": Fraction(1), "v11": Fraction(0), "v12": Fraction(0)},
-        }
-    elif gid == "g4":
-        profile = {
-            "I1.1": _pure("no_init", ("no_init", "init")),
-            "I2.1": _pure("collude", ("no_collude", "collude")),
-            "I2.2": _pure("report_correct", _REPORT_ACTS),
-            "I1.2": _pure("r", _ACTS),
-            "I2.3": _pure("r", _ACTS),
-            "I2.4": _pure("r", _ACTS),
-            "I2.5": _pure("r", _ACTS),
-        }
-        beliefs = {
-            "I1.1": {"v0": Fraction(1)},
-            "I2.1": {"v1": Fraction(1)},
-            "I2.2": {"v2": Fraction(1)},
-            "I1.2": {"v3": Fraction(0), "v4": Fraction(1), "v5": Fraction(0)},
-            "I2.3": {"v6": Fraction(0), "v7": Fraction(1), "v8": Fraction(0)},
-            "I2.4": {"v9": Fraction(0), "v10": Fraction(1), "v11": Fraction(0)},
-            "I2.5": {"v12": Fraction(0), "v13": Fraction(1), "v14": Fraction(0)},
-        }
-    else:  # pragma: no cover - build_game already rejects unknown ids
-        raise GameError("unknown-game", gid)
+    if game.game_id not in _FAMILIES:
+        raise GameError("unknown-game", game.game_id)
+    moves = _FAMILIES[game.game_id].equilibrium
+
+    def depth(nid: str) -> int:
+        return 1 + depth(game.parents[nid][0]) if nid in game.parents else 0
+
+    profile = {set_id: _pure(moves[depth(iset.nodes[0])], iset.actions)
+               for set_id, iset in game.info_sets.items()}
+    beliefs = {}
+    for set_id, iset in game.info_sets.items():
+        beliefs[set_id] = {iset.nodes[0]: Fraction(1)}
+        if len(iset.nodes) > 1:
+            into = [game.parents[h] for h in iset.nodes]
+            beliefs[set_id] = {h: profile[game.nodes[parent].info_set][action]
+                               for h, (parent, action) in zip(iset.nodes, into)}
     assessment = Assessment(profile=profile, beliefs=beliefs)
     validate_assessment(game, assessment)
     return assessment
@@ -501,10 +456,13 @@ def node_value(game: Game, node_id: str, profile: Mapping, player: int) -> Fract
 
 def expected_payoff(game: Game, assessment: Assessment, set_id: str) -> Fraction:
     """Belief-weighted expected payoff of the info set's owner."""
+    return _belief_value(game, set_id, assessment.beliefs[set_id], assessment.profile)
+
+
+def _belief_value(game: Game, set_id: str, beliefs: Mapping, profile: Mapping) -> Fraction:
     iset = game.info_sets[set_id]
-    beliefs = assessment.beliefs[set_id]
     return sum(
-        (beliefs.get(h, Fraction(0)) * node_value(game, h, assessment.profile, iset.player)
+        (beliefs.get(h, Fraction(0)) * node_value(game, h, profile, iset.player)
          for h in iset.nodes),
         Fraction(0),
     )
@@ -612,11 +570,7 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
         for action in iset.actions:
             modified = dict(assessment.profile)
             modified[set_id] = _pure(action, iset.actions)
-            one_shot[action] = sum(
-                (beliefs.get(h, Fraction(0)) * node_value(game, h, modified, player)
-                 for h in iset.nodes),
-                Fraction(0),
-            )
+            one_shot[action] = _belief_value(game, set_id, beliefs, modified)
         strict_ok = all(
             one_shot[a] < eq_value for a in iset.actions if a not in support
         )
@@ -628,12 +582,7 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
             modified = dict(assessment.profile)
             for s, action in zip(own_sets, combo):
                 modified[s.set_id] = _pure(action, s.actions)
-            value = sum(
-                (beliefs.get(h, Fraction(0)) * node_value(game, h, modified, player)
-                 for h in iset.nodes),
-                Fraction(0),
-            )
-            max_gain = max(max_gain, value - eq_value)
+            max_gain = max(max_gain, _belief_value(game, set_id, beliefs, modified) - eq_value)
         weak_ok = max_gain <= 0
 
         # per-node dominance of the prescribed action
@@ -808,47 +757,29 @@ def analyze_reference(
 # ---------------------------------------------------------------------------
 
 
-def _scenario_grid(game_id: str):
+def _scenario_grid(game: Game):
     """Yield ``(terminal node id, strat1, strat2, traitor_enabled)`` covering
-    every terminal of the game with a concrete protocol scenario."""
+    every terminal of the game with a concrete protocol scenario: each action
+    on the path from the root sets one field of its player's strategy."""
     from .protocol import CloudStrategy, CtpAction, ReportChoice, Role
 
-    acts = (CtpAction.FX, CtpAction.R, CtpAction.OTHER)
-    reports = (ReportChoice.NO_REPORT, ReportChoice.REPORT_CORRECT, ReportChoice.REPORT_WRONG)
-
-    def S(role=Role.HONEST, report=ReportChoice.NO_REPORT, action=CtpAction.FX):
-        return CloudStrategy(coalition_role=role, report_choice=report, ctp_action=action)
-
-    if game_id == "g1":
-        for i in range(3):
-            for j in range(3):
-                yield f"v{4 + 3 * i + j}", S(action=acts[i]), S(action=acts[j]), False
-    elif game_id == "g2":
-        yield "u0", S(), S(), False
-        yield "u1", S(role=Role.INITIATE), S(role=Role.REJECT), False
-        for i in range(3):
-            for j in range(3):
-                yield (f"v{6 + 3 * i + j}",
-                       S(role=Role.INITIATE, action=acts[i]),
-                       S(role=Role.ACCEPT, action=acts[j]), False)
-    elif game_id == "g3":
-        for rho in range(3):
-            for i in range(3):
-                for j in range(3):
-                    yield (f"v{13 + 9 * rho + 3 * i + j}",
-                           S(action=acts[i]),
-                           S(report=reports[rho], action=acts[j]), True)
-    elif game_id == "g4":
-        yield "u0", S(), S(), True
-        yield "u1", S(role=Role.INITIATE), S(role=Role.REJECT), True
-        for rho in range(3):
-            for i in range(3):
-                for j in range(3):
-                    yield (f"v{15 + 9 * rho + 3 * i + j}",
-                           S(role=Role.INITIATE, action=acts[i]),
-                           S(role=Role.ACCEPT, report=reports[rho], action=acts[j]), True)
-    else:
-        raise GameError("unknown-game", game_id)
+    coalition_roles = {"no_init": Role.HONEST, "init": Role.INITIATE,
+                       "no_collude": Role.REJECT, "collude": Role.ACCEPT}
+    traitor_enabled = _FAMILIES[game.game_id].report
+    for terminal in game.terminals():
+        fields: dict[int, dict] = {1: {}, 2: {}}
+        nid = terminal.node_id
+        while nid in game.parents:
+            nid, action = game.parents[nid]
+            chosen = fields[game.nodes[nid].player]
+            if action in coalition_roles:
+                chosen["coalition_role"] = coalition_roles[action]
+            elif action in _REPORTS:
+                chosen["report_choice"] = ReportChoice(action)
+            else:
+                chosen["ctp_action"] = CtpAction(action)
+        yield (terminal.node_id, CloudStrategy(**fields[1]), CloudStrategy(**fields[2]),
+               traitor_enabled)
 
 
 def payoff_crosscheck(
@@ -866,7 +797,7 @@ def payoff_crosscheck(
     task = Task()
     mismatches: list[dict] = []
     cells = 0
-    for nid, s1, s2, traitor_enabled in _scenario_grid(game_id):
+    for nid, s1, s2, traitor_enabled in _scenario_grid(game):
         node = game.nodes[nid]
         out = run_scenario(
             params, task, s1, s2, seed=seed, group=group, traitor_enabled=traitor_enabled

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from . import CodedError
+
 __all__ = [
     "Money",
     "AccountId",
@@ -25,20 +27,14 @@ __all__ = [
     "LedgerError",
     "Ledger",
     "validate_params",
-    "advance_time",
-    "transfer",
 ]
 
 #: Integral money in the smallest currency unit.
 Money = int
 
 
-class LedgerError(Exception):
-    """Monetary precondition failure; ``code`` is a stable identifier."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code
+class LedgerError(CodedError):
+    """Monetary precondition failure."""
 
 
 @dataclass(frozen=True)
@@ -187,12 +183,3 @@ class Ledger:
                 f"total {self.total()} != minted {self._minted}",
             )
 
-
-def advance_time(ledger: Ledger, dt: int) -> None:
-    """Module-level convenience wrapper around ``Ledger.advance_time``."""
-    ledger.advance_time(dt)
-
-
-def transfer(ledger: Ledger, src: AccountId, dst: AccountId, amount: Money, tag: str = "transfer") -> None:
-    """Module-level convenience wrapper around ``Ledger.transfer``."""
-    ledger.transfer(src, dst, amount, tag)

@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from . import CodedError
 from .contracts import (
     CCState,
     ColludersContract,
@@ -40,6 +41,7 @@ from .contracts import (
     TraitorsContract,
 )
 from .crypto import NeqProof, Opening, commit, digest, prove_eq, prove_neq, setup, verify_neq
+from .gametheory import terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
 __all__ = [
@@ -59,12 +61,8 @@ __all__ = [
 PARTIES = ("client", "cloud1", "cloud2", "ttp", "costs")
 
 
-class ScenarioError(Exception):
+class ScenarioError(CodedError):
     """Scenario-level configuration or invariant failure."""
-
-    def __init__(self, code: str, message: str = "") -> None:
-        super().__init__(message or code)
-        self.code = code
 
 
 class Role(enum.Enum):
@@ -142,12 +140,15 @@ class Task:
         raise ScenarioError("invalid-task", f"unknown task kind {self.kind!r}")
 
 
+#: Longest arithmetic expression accepted; keeps parsing within the
+#: interpreter's stack and memory whatever the task config holds.
+_MAX_EXPR_LEN = 1000
+
+
 def _eval_arith(expr: str, x: int) -> int:
     """Evaluate a tiny arithmetic language over one variable, safely."""
-    try:
-        tree = ast.parse(expr, mode="eval").body
-    except SyntaxError as exc:
-        raise ScenarioError("invalid-task", f"bad expression: {exc}") from exc
+    if len(expr) > _MAX_EXPR_LEN:
+        raise ScenarioError("invalid-task", f"expression longer than {_MAX_EXPR_LEN} characters")
 
     def ev(node: ast.AST) -> int:
         if isinstance(node, ast.BinOp):
@@ -171,7 +172,12 @@ def _eval_arith(expr: str, x: int) -> int:
             return x
         raise ScenarioError("invalid-task", f"unsupported syntax in {expr!r}")
 
-    return ev(tree)
+    try:
+        return ev(ast.parse(expr, mode="eval").body)
+    except SyntaxError as exc:
+        raise ScenarioError("invalid-task", f"bad expression: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError("invalid-task", "expression nested too deeply") from exc
 
 
 @dataclass(frozen=True)
@@ -517,34 +523,17 @@ def _label_outcome(clouds, strategies, initiator, responder, reporter,
                    coalition_formed, traitor_enabled, name_of):
     """Map the scenario to a terminal node of the matching game family."""
     act = {cl: _action_index(strategies[cl].ctp_action) for cl in clouds}
+    rho = 0 if reporter is None else list(ReportChoice).index(strategies[reporter].report_choice)
     if coalition_formed:
-        leader, follower = initiator, responder
-        if reporter is not None:
-            rep = 1 if strategies[reporter].report_choice is ReportChoice.REPORT_CORRECT else 2
-        else:
-            rep = 0
-        if reporter is not None or traitor_enabled:
-            n = 15 + 9 * rep + 3 * act[leader] + act[follower]
-            family = "G4"
-        else:
-            n = 6 + 3 * act[leader] + act[follower]
-            family = "G2"
-        roles = {name_of[leader]: "LDR", name_of[follower]: "FLR"}
+        family = "G4" if reporter is not None or traitor_enabled else "G2"
+        players, roles = (initiator, responder), ("LDR", "FLR")
     elif reporter is not None:
-        other = clouds[1 - clouds.index(reporter)]
-        rep = 1 if strategies[reporter].report_choice is ReportChoice.REPORT_CORRECT else 2
-        n = 13 + 9 * rep + 3 * act[other] + act[reporter]
-        family = "G3"
-        roles = {name_of[other]: "OTH", name_of[reporter]: "TRA"}
+        family, players, roles = "G3", (clouds[1 - clouds.index(reporter)], reporter), ("OTH", "TRA")
     elif traitor_enabled:
         # a world with the traitor module but no report: cloud2 is the
         # designated would-be reporter by convention
-        other, tra = clouds
-        n = 13 + 3 * act[other] + act[tra]
-        family = "G3"
-        roles = {name_of[other]: "OTH", name_of[tra]: "TRA"}
+        family, players, roles = "G3", clouds, ("OTH", "TRA")
     else:
-        n = 4 + 3 * act[clouds[0]] + act[clouds[1]]
-        family = "G1"
-        roles = {name_of[clouds[0]]: "C1", name_of[clouds[1]]: "C2"}
-    return f"{family}:v{n}", family, roles
+        family, players, roles = "G1", clouds, ("C1", "C2")
+    label = terminal_label(family.lower(), rho, act[players[0]], act[players[1]])
+    return label, family, {name_of[cl]: role for cl, role in zip(players, roles)}

@@ -6,6 +6,7 @@ the JSON report, including byte-identical output across repeated runs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -260,12 +261,26 @@ def test_analyze_unknown_game_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_analyze_output_is_byte_identical(capsys, tmp_path):
+# first 16 hex digits of each report's SHA-256, frozen from the release that
+# built every game tree by hand, so any change to a report's bytes shows here
+ANALYZE_DIGESTS = {
+    ("g1", "309"): "38e15919e42a2614", ("g1", "314"): "ac9d814a2e68ee5e",
+    ("g2", "309"): "e311978915de52c1", ("g2", "314"): "d0b5c8ac1f3154ec",
+    ("g3", "309"): "35a587da0cf0b8b1", ("g3", "314"): "a52d1ee795ce2cb1",
+    ("g4", "309"): "628c478baea56f1e", ("g4", "314"): "0ad1630ce4fb280c",
+}
+
+
+@pytest.mark.parametrize("game,t", sorted(ANALYZE_DIGESTS))
+def test_analyze_output_is_byte_identical(capsys, tmp_path, game, t):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["analyze", "--game", "g3", "--out", str(out1)]) == 0
-    assert main(["analyze", "--game", "g3", "--out", str(out2)]) == 0
+    expected_code = 4 if (game, t) == ("g4", "309") else 0
+    argv = ["analyze", "--game", game, "--t", t, "--group", "toy", "--out"]
+    assert main(argv + [str(out1)]) == expected_code
+    assert main(argv + [str(out2)]) == expected_code
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
+    assert hashlib.sha256(out1.read_bytes()).hexdigest()[:16] == ANALYZE_DIGESTS[game, t]
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +348,22 @@ def test_batch_reports_scenario_failures(capsys, tmp_path):
         "error": "inconsistent-strategies",
         "detail": report["results"][1]["detail"],
     }
+
+
+def test_hostile_arithmetic_task_is_a_scenario_error(capsys, tmp_path):
+    scenario = {"task": {"kind": "arithmetic-expression", "x": "3", "expr": "x" + "+x" * 200000}}
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    code, report, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 3
+    assert report is None
+    assert "invalid-task" in err and "Traceback" not in err
+    cfg.write_text(json.dumps([{}, scenario]))
+    code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
+    assert code == 3
+    assert report["failures"] == 1
+    assert report["results"][1]["error"] == "invalid-task"
+    assert "Traceback" not in err
 
 
 def test_batch_rejects_empty_list(capsys, tmp_path):

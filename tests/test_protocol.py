@@ -366,7 +366,12 @@ def test_arithmetic_task():
     assert Task(kind="arithmetic-expression", x="-3", expr="2*x - 1").evaluate() == b"-7"
 
 
-@pytest.mark.parametrize("expr", ["__import__('os')", "x / 2", "x | 1", "foo", "x.bit_length()"])
+@pytest.mark.parametrize("expr", [
+    "__import__('os')", "x / 2", "x | 1", "foo", "x.bit_length()",
+    pytest.param("x" + "+x" * 200000, id="sum-of-200001"),
+    pytest.param("-" * 100000 + "x", id="negated-100000-times"),
+    pytest.param("-" * 999 + "x", id="negated-999-times"),
+])
 def test_arithmetic_task_rejects_non_arithmetic(expr):
     with pytest.raises(ScenarioError) as err:
         Task(kind="arithmetic-expression", x="5", expr=expr).evaluate()
