@@ -8,6 +8,12 @@ Two interchangeable backends share one additive-notation interface:
   not a production group.
 * ``secp256k1`` -- the 256-bit curve, pure-Python Jacobian arithmetic.
 
+``mul(k, a, k2, a2, ...)`` returns ``k*a + k2*a2 + ...`` in one call: on toy
+a product of ``pow``s, on secp256k1 one interleaved width-5 NAF pass whose
+terms share their doublings, with one field inversion per call.  Calls per
+operation: ``commit`` 1, ``prove_eq`` 3 and ``prove_neq`` 4 (two of them
+re-open the commitments), ``verify_eq`` 1, ``verify_neq`` 2.
+
 Commitments are ``Com_s(m) = m*P + s*Q`` where ``P`` and ``Q`` are both
 derived by hash-to-group from a public seed (nobody knows a discrete log
 relating them).  The equality proof shows two commitments open to the same
@@ -99,8 +105,12 @@ class _ToyGroup:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, k: int, a: int) -> int:
-        return pow(a, k % self.q, self.p)
+    def mul(self, k: int, a: int, *more: int) -> int:
+        """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``."""
+        r = 1
+        for k, a in _terms(k, a, more):
+            r = r * pow(a, k % self.q, self.p) % self.p
+        return r
 
     def is_member(self, a: object) -> bool:
         return (
@@ -194,6 +204,26 @@ class _Secp256k1Group:
         Z3 = (H * Z1 * Z2) % p
         return (X3, Y3, Z3)
 
+    def _jmadd(self, a, x, y):
+        """Jacobian ``a`` plus the affine point ``(x, y)``."""
+        if a is None:
+            return (x, y, 1)
+        p = self.p
+        X1, Y1, Z1 = a
+        Z1Z1 = (Z1 * Z1) % p
+        H = (x * Z1Z1 - X1) % p
+        R = (y * Z1 * Z1Z1 - Y1) % p
+        if H == 0:
+            if R == 0:
+                return self._jdouble(a)
+            return None
+        H2 = (H * H) % p
+        H3 = (H * H2) % p
+        V = (X1 * H2) % p
+        X3 = (R * R - H3 - 2 * V) % p
+        Y3 = (R * (V - X3) - Y1 * H3) % p
+        return (X3, Y3, (Z1 * H) % p)
+
     def _to_jac(self, pt):
         if pt is None:
             return None
@@ -204,7 +234,7 @@ class _Secp256k1Group:
             return None
         X, Y, Z = pt
         p = self.p
-        zinv = pow(Z, p - 2, p)
+        zinv = pow(Z, -1, p)
         z2 = (zinv * zinv) % p
         return ((X * z2) % p, (Y * z2 * zinv) % p)
 
@@ -221,17 +251,66 @@ class _Secp256k1Group:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, k, a):
-        k %= self.q
-        if k == 0 or a is None:
+    def mul(self, k, a, *more):
+        """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``, by interleaved
+        width-5 NAF (Straus): all terms share one chain of doublings.
+
+        Each base gets a table of its odd multiples ``a, 3a, ..., 15a``.  The
+        tables are brought to one shared denominator ``zg`` with Montgomery's
+        batch-inversion products, minus the inversion itself: entry
+        ``(x, y)`` stands for the affine point ``(x/zg^2, y/zg^3)``.  Those
+        are affine points of the isomorphic curve ``y^2 = x^3 + 7*zg^6``, and
+        doubling and addition formulas never read the curve constant, so the
+        loop adds them with mixed Jacobian+affine additions.  The result's
+        ``Z`` times ``zg`` is the one field inversion of the call.
+        """
+        p = self.p
+        rows, nafs = [], []
+        for k, a in _terms(k, a, more):
+            k %= self.q
+            if k == 0 or a is None:
+                continue
+            row = [self._to_jac(a)]
+            twice = self._jdouble(row[0])
+            for _ in range(_WNAF_TABLE - 1):
+                row.append(self._jadd(row[-1], twice))
+            rows.extend(row)
+            nafs.append(_wnaf(k))
+        if not nafs:
             return None
+        # zg = product of every entry's Z; entry i is scaled by zg / Z_i,
+        # the product of all the other Zs (prefix times suffix)
+        prefix, zg = [], 1
+        for _, _, z in rows:
+            prefix.append(zg)
+            zg = zg * z % p
+        table, suffix = [None] * len(rows), 1
+        for i in range(len(rows) - 1, -1, -1):
+            x, y, z = rows[i]
+            c = prefix[i] * suffix % p
+            c2 = c * c % p
+            table[i] = (x * c2 % p, y * c2 * c % p)
+            suffix = suffix * z % p
+        # the points to add at each bit position, least significant first
+        steps = [[] for _ in range(max(map(len, nafs)))]
+        for j, naf in enumerate(nafs):
+            row = table[j * _WNAF_TABLE:(j + 1) * _WNAF_TABLE]
+            for i, d in enumerate(naf):
+                if d > 0:
+                    steps[i].append(row[d >> 1])
+                elif d < 0:
+                    x, y = row[-d >> 1]
+                    steps[i].append((x, p - y))
         acc = None
-        base = self._to_jac(a)
-        for bit in bin(k)[2:]:
-            acc = self._jdouble(acc) if acc is not None else None
-            if bit == "1":
-                acc = self._jadd(acc, base)
-        return self._to_affine(acc)
+        for pts in reversed(steps):
+            if acc is not None:
+                acc = self._jdouble(acc)
+            for x, y in pts:
+                acc = self._jmadd(acc, x, y)
+        if acc is None:
+            return None
+        X, Y, Z = acc
+        return self._to_affine((X, Y, Z * zg % p))
 
     def is_member(self, a) -> bool:
         if a is None:
@@ -276,6 +355,30 @@ class _Secp256k1Group:
             if (y * y) % p == y2 and x != 0:
                 return (x, y if y % 2 == 0 else p - y)
             counter += 1
+
+
+def _terms(k, a, more) -> list:
+    """The ``(scalar, element)`` pairs of a ``mul(k, a, k2, a2, ...)`` call."""
+    return [(k, a), *zip(more[::2], more[1::2], strict=True)]
+
+
+#: Width-5 NAF digits are odd and in ``[-15, 15]``: 8 table entries per base.
+_WNAF_TABLE = 8
+
+
+def _wnaf(k: int) -> list[int]:
+    """Width-5 non-adjacent form of ``k > 0``, least significant digit first."""
+    digits = []
+    while k:
+        d = 0
+        if k & 1:
+            d = k & 31
+            if d > 16:
+                d -= 32
+            k -= d
+        digits.append(d)
+        k >>= 1
+    return digits
 
 
 _BACKENDS = {"toy": _ToyGroup(), "secp256k1": _Secp256k1Group()}
@@ -362,8 +465,7 @@ def setup(group_id: str = "toy", seed: bytes = b"\x01") -> GroupParams:
 
 def commit(gp: GroupParams, m: Scalar, s: Scalar) -> Commitment:
     """``Com_s(m) = m*P + s*Q``."""
-    g = gp.backend
-    return Commitment(g.add(g.mul(m % gp.q, gp.P), g.mul(s % gp.q, gp.Q)))
+    return Commitment(gp.backend.mul(m, gp.P, s, gp.Q))
 
 
 def open_commitment(gp: GroupParams, c: Commitment, o: Opening) -> bool:
@@ -415,7 +517,7 @@ def prove_eq(
 
 
 def verify_eq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: EqProof) -> bool:
-    """Check ``eta*Q == delta*(C1 - C2) + t``."""
+    """Check ``eta*Q == delta*(C1 - C2) + t``, as ``eta*Q - delta*(C1 - C2) == t``."""
     g = gp.backend
     if not (
         g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(proof.t)
@@ -424,9 +526,7 @@ def verify_eq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: EqProof) -
     if not isinstance(proof.eta, int) or not 0 <= proof.eta < gp.q:
         return False
     delta = _challenge(gp, EQ_TAG, c1.value, c2.value, proof.t)
-    lhs = g.mul(proof.eta, gp.Q)
-    rhs = g.add(g.mul(delta, g.sub(c1.value, c2.value)), proof.t)
-    return lhs == rhs
+    return g.mul(proof.eta, gp.Q, -delta, g.sub(c1.value, c2.value)) == proof.t
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +539,10 @@ def prove_neq(
 ) -> NeqProof:
     """Prove the two committed messages differ.
 
+    The nonces are drawn again while the challenge is 0 mod ``q``: that
+    challenge would cancel the message difference that ``verify_neq``'s
+    disequality check looks for, so every proof returned verifies.
+
     Raises ``CryptoError('witness-mismatch')`` on bad openings or equal
     messages.
     """
@@ -447,11 +551,13 @@ def prove_neq(
     if o1.m % gp.q == o2.m % gp.q:
         raise CryptoError("witness-mismatch", "messages equal; cannot prove inequality")
     g = gp.backend
-    gamma1 = rand_scalar(gp, rng)
-    gamma2 = rand_scalar(gp, rng)
-    t1 = g.mul(gamma1, gp.P)
-    t2 = g.mul(gamma2, gp.Q)
-    delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t1, t2)
+    delta = 0
+    while delta == 0:
+        gamma1 = rand_scalar(gp, rng)
+        gamma2 = rand_scalar(gp, rng)
+        t1 = g.mul(gamma1, gp.P)
+        t2 = g.mul(gamma2, gp.Q)
+        delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t1, t2)
     eta1 = ((o1.m - o2.m) * delta + gamma1) % gp.q
     eta2 = ((o1.s - o2.s) * delta + gamma2) % gp.q
     return NeqProof(t1=t1, t2=t2, eta1=eta1, eta2=eta2)
@@ -459,7 +565,11 @@ def prove_neq(
 
 def verify_neq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: NeqProof) -> bool:
     """Check ``eta1*P + eta2*Q == delta*(C1-C2) + t1 + t2`` and that the
-    message-difference component is non-zero (``eta2*Q != delta*(C1-C2) + t2``)."""
+    message-difference component is non-zero (``eta2*Q != delta*(C1-C2) + t2``).
+
+    Both go through ``r = eta2*Q - delta*(C1-C2)``: reject if ``r == t2``,
+    accept if ``eta1*P + r == t1 + t2``.
+    """
     g = gp.backend
     if not (
         g.is_member(c1.value)
@@ -472,12 +582,10 @@ def verify_neq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: NeqProof)
         if not isinstance(eta, int) or not 0 <= eta < gp.q:
             return False
     delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, proof.t1, proof.t2)
-    diff = g.sub(c1.value, c2.value)
-    lhs = g.add(g.mul(proof.eta1, gp.P), g.mul(proof.eta2, gp.Q))
-    rhs = g.add(g.mul(delta, diff), g.add(proof.t1, proof.t2))
-    if lhs != rhs:
+    r = g.mul(proof.eta2, gp.Q, -delta, g.sub(c1.value, c2.value))
+    if r == proof.t2:
         return False
-    return g.mul(proof.eta2, gp.Q) != g.add(g.mul(delta, diff), proof.t2)
+    return g.add(g.mul(proof.eta1, gp.P), r) == g.add(proof.t1, proof.t2)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from .contracts import (
     TCState,
     TraitorsContract,
 )
-from .crypto import NeqProof, Opening, commit, digest, prove_eq, prove_neq, setup, verify_neq
+from .crypto import Opening, commit, digest, prove_eq, prove_neq, setup
 from .gametheory import terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -253,25 +253,9 @@ def ttp_resolve(ctp: PrisonersContract, task: Task, received: dict[AccountId, Op
         elif opening.m % gp.q == m_true:
             nizks.append(prove_eq(gp, com_y, com_yt, opening, opening_t, rng))
         else:
-            nizks.append(_prove_neq_complete(gp, com_y, com_yt, opening, opening_t, rng))
+            nizks.append(prove_neq(gp, com_y, com_yt, opening, opening_t, rng))
     ctp.dispute(ctp.ttp, com_yt, nizks[0], nizks[1])
     return opening_t
-
-
-def _prove_neq_complete(gp, c1, c2, o1, o2, rng) -> NeqProof:
-    """Produce an inequality proof that is guaranteed to verify.
-
-    The proof's disequality check degenerates when the hash challenge is
-    0 mod q -- a 1/q statistical completeness gap that the tiny test group
-    actually hits -- so the prover checks its own proof and re-proves with
-    fresh randomness until it passes (one round, almost always).
-    """
-    for _ in range(64):
-        proof = prove_neq(gp, c1, c2, o1, o2, rng)
-        if verify_neq(gp, c1, c2, proof):
-            return proof
-    raise ScenarioError("proof-retry-exhausted",
-                        "could not produce a verifying inequality proof")
 
 
 # ---------------------------------------------------------------------------

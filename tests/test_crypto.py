@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from countercollusion.crypto import (
+    EQ_TAG,
+    NEQ_TAG,
     Commitment,
     CryptoError,
     EqProof,
@@ -33,6 +35,7 @@ from countercollusion.crypto import (
     setup,
     verify_eq,
     verify_neq,
+    _challenge,
 )
 
 TOY = setup("toy", b"\x01")
@@ -331,3 +334,176 @@ def test_unknown_group_rejected():
     with pytest.raises(CryptoError) as e:
         setup("nist-p256")
     assert e.value.code == "unknown-group"
+
+
+# ---------------------------------------------------------------------------
+# Multi-scalar mul against the double-and-add reference
+# ---------------------------------------------------------------------------
+
+GROUPS = pytest.mark.parametrize("gp", [TOY, SECP], ids=["toy", "secp256k1"])
+
+
+def _ref_mul(gp, k, a):
+    """One term ``k*a``: one ``pow`` on toy, left-to-right double-and-add in
+    Jacobian coordinates on secp256k1."""
+    g = gp.backend
+    if gp.group_id == "toy":
+        return pow(a, k % g.q, g.p)
+    k %= g.q
+    if k == 0 or a is None:
+        return None
+    acc = None
+    base = g._to_jac(a)
+    for bit in bin(k)[2:]:
+        acc = g._jdouble(acc) if acc is not None else None
+        if bit == "1":
+            acc = g._jadd(acc, base)
+    return g._to_affine(acc)
+
+
+def _ref_sum(gp, terms):
+    """``k*a + k2*a2 + ...`` for ``terms = [k, a, k2, a2, ...]``, term by term."""
+    acc = gp.backend.identity
+    for k, a in zip(terms[::2], terms[1::2]):
+        acc = gp.backend.add(acc, _ref_mul(gp, k, a))
+    return acc
+
+
+def _scalars(q):
+    edges = [0, 1, q - 1, q, q + 1, -1, -q + 1, -q - 1]
+    return st.one_of(st.sampled_from(edges), st.integers(-2 * q, 2 * q))
+
+
+def _elements(gp):
+    g = gp.backend
+    fixed = [g.identity, gp.P, gp.Q, g.neg(gp.P)]
+    hashed = st.binary(max_size=4).map(lambda seed: g.hash_to_group(b"mul-test", seed))
+    return st.one_of(st.sampled_from(fixed), hashed)
+
+
+@GROUPS
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mul_matches_double_and_add(gp, data):
+    terms = data.draw(st.lists(st.tuples(_scalars(gp.q), _elements(gp)), min_size=1, max_size=3))
+    flat = [x for term in terms for x in term]
+    assert gp.backend.mul(*flat) == _ref_sum(gp, flat)
+
+
+@GROUPS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mul_cancelling_and_repeated_bases(gp, data):
+    """``a`` and ``-a`` in one call cancel; a repeated base sends the mixed
+    addition through its doubling and its inverse branches."""
+    g = gp.backend
+    k = data.draw(_scalars(gp.q))
+    j = data.draw(_scalars(gp.q))
+    a = data.draw(_elements(gp))
+    assert g.mul(k, a, k, g.neg(a)) == g.identity
+    assert g.mul(k, a, -k, a) == g.identity
+    assert g.mul(k, a, k, a) == _ref_mul(gp, 2 * k, a)
+    assert g.mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
+
+
+# ---------------------------------------------------------------------------
+# verify_eq / verify_neq give the verdicts of the separate-mul equations
+# ---------------------------------------------------------------------------
+
+
+def _ref_verify_eq(gp, c1, c2, proof) -> bool:
+    """``eta*Q == delta*(C1 - C2) + t`` with one reference mul per product."""
+    g = gp.backend
+    if not (g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(proof.t)):
+        return False
+    if not isinstance(proof.eta, int) or not 0 <= proof.eta < gp.q:
+        return False
+    delta = _challenge(gp, EQ_TAG, c1.value, c2.value, proof.t)
+    lhs = _ref_mul(gp, proof.eta, gp.Q)
+    rhs = g.add(_ref_mul(gp, delta, g.sub(c1.value, c2.value)), proof.t)
+    return lhs == rhs
+
+
+def _ref_verify_neq(gp, c1, c2, proof) -> bool:
+    """``eta1*P + eta2*Q == delta*(C1-C2) + t1 + t2`` and
+    ``eta2*Q != delta*(C1-C2) + t2`` with one reference mul per product."""
+    g = gp.backend
+    elems = (c1.value, c2.value, proof.t1, proof.t2)
+    if not all(g.is_member(e) for e in elems):
+        return False
+    for eta in (proof.eta1, proof.eta2):
+        if not isinstance(eta, int) or not 0 <= eta < gp.q:
+            return False
+    delta = _challenge(gp, NEQ_TAG, *elems)
+    diff = g.sub(c1.value, c2.value)
+    lhs = g.add(_ref_mul(gp, proof.eta1, gp.P), _ref_mul(gp, proof.eta2, gp.Q))
+    rhs = g.add(_ref_mul(gp, delta, diff), g.add(proof.t1, proof.t2))
+    if lhs != rhs:
+        return False
+    return _ref_mul(gp, proof.eta2, gp.Q) != g.add(_ref_mul(gp, delta, diff), proof.t2)
+
+
+def _forged_neq(gp, c1, c2, s1, s2, rng) -> NeqProof:
+    """An inequality "proof" for commitments to one message, made from
+    ``s1 - s2`` alone: ``t1 = a*P``, ``t2 = P + e*Q``, ``eta1 = a + 1``,
+    ``eta2 = delta*(s1 - s2) + e``."""
+    g = gp.backend
+    a, e = rng.randrange(gp.q), rng.randrange(gp.q)
+    t1 = g.mul(a, gp.P)
+    t2 = g.add(gp.P, g.mul(e, gp.Q))
+    delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t1, t2)
+    return NeqProof(t1=t1, t2=t2, eta1=(a + 1) % gp.q, eta2=(delta * (s1 - s2) + e) % gp.q)
+
+
+def _verdict_cases(gp, rng):
+    """``(verify, reference, c1, c2, proof)`` for honest, tampered, swapped,
+    identity, ``C1 == C2`` and forged proofs."""
+    g, q = gp.backend, gp.q
+    m = rng.randrange(q)
+    m2 = (m + 1 + rng.randrange(q - 1)) % q
+    s1, s2 = rng.randrange(q), rng.randrange(q)
+    c1, c1b, c2 = commit(gp, m, s1), commit(gp, m, s2), commit(gp, m2, s2)
+    eq = prove_eq(gp, c1, c1b, Opening(m, s1), Opening(m, s2), rng)
+    neq = prove_neq(gp, c1, c2, Opening(m, s1), Opening(m2, s2), rng)
+    ident = g.identity
+
+    def moved(c):
+        return Commitment(g.add(c.value, gp.P))
+
+    eqs = [
+        (c1, c1b, eq),
+        (c1, c1b, EqProof(eq.t, (eq.eta + 1) % q)),
+        (c1, c1b, EqProof(g.add(eq.t, gp.P), eq.eta)),
+        (c1, c1b, EqProof(ident, eq.eta)),
+        (moved(c1), c1b, eq),
+        (c1, moved(c1b), eq),
+        (c1b, c1, eq),
+        (c1, c1, eq),
+        (c1, c1, prove_eq(gp, c1, c1, Opening(m, s1), Opening(m, s1), rng)),
+        (c1, c2, eq),
+    ]
+    neqs = [
+        (c1, c2, neq),
+        (c1, c2, NeqProof(neq.t1, neq.t2, (neq.eta1 + 1) % q, neq.eta2)),
+        (c1, c2, NeqProof(neq.t1, neq.t2, neq.eta1, (neq.eta2 + 1) % q)),
+        (c1, c2, NeqProof(g.add(neq.t1, gp.P), neq.t2, neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(neq.t1, g.add(neq.t2, gp.P), neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(ident, neq.t2, neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(neq.t1, ident, neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(ident, ident, neq.eta1, neq.eta2)),
+        (moved(c1), c2, neq),
+        (c1, moved(c2), neq),
+        (c2, c1, neq),
+        (c1, c1, neq),
+        (c1, c1b, _forged_neq(gp, c1, c1b, s1, s2, rng)),
+    ]
+    return ([(verify_eq, _ref_verify_eq, *case) for case in eqs]
+            + [(verify_neq, _ref_verify_neq, *case) for case in neqs])
+
+
+@pytest.mark.parametrize("gp, trials", [(TOY, 200), (SECP, 3)], ids=["toy", "secp256k1"])
+def test_verify_verdicts_match_separate_mul_equations(gp, trials):
+    rng = random.Random(2024)
+    for _ in range(trials):
+        for verify, reference, c1, c2, proof in _verdict_cases(gp, rng):
+            assert verify(gp, c1, c2, proof) == reference(gp, c1, c2, proof), (verify.__name__, proof)

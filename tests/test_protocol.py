@@ -390,18 +390,17 @@ def test_arithmetic_task_can_back_a_full_run():
 
 
 def test_arbiter_reproves_past_the_statistical_completeness_gap():
-    """rng seed 979 makes the first inequality proof hit the challenge == 0
-    degeneracy (probability 1/509 in the toy group), which the verifier
-    rejects; the arbiter helper must re-prove until its proof verifies."""
+    """rng seed 979 makes the first nonces give the challenge 0 mod q
+    (probability 1/509 in the toy group), which would cancel the message
+    difference the verifier's disequality check looks for; prove_neq draws
+    again and returns the proof that re-proving until verify_neq accepts
+    gives at this seed."""
     import random
 
-    from countercollusion.crypto import Opening, commit, prove_neq, setup, verify_neq
-    from countercollusion.protocol import _prove_neq_complete
+    from countercollusion.crypto import NeqProof, Opening, commit, prove_neq, setup, verify_neq
 
     gp = setup("toy", b"\x01")
     c1, c2 = commit(gp, 7, 11), commit(gp, 9, 13)
-    o1, o2 = Opening(7, 11), Opening(9, 13)
-    first = prove_neq(gp, c1, c2, o1, o2, random.Random(979))
-    assert not verify_neq(gp, c1, c2, first)
-    proof = _prove_neq_complete(gp, c1, c2, o1, o2, random.Random(979))
+    proof = prove_neq(gp, c1, c2, Opening(7, 11), Opening(9, 13), random.Random(979))
     assert verify_neq(gp, c1, c2, proof)
+    assert proof == NeqProof(t1=621, t2=879, eta1=284, eta2=499)
