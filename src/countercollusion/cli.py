@@ -324,7 +324,7 @@ def cmd_analyze(args) -> int:
     params = _params_from_args(args)
     if args.kmax < 10:
         raise ConfigError("--kmax must be at least 10")
-    ks = (10, 100, 1000, args.kmax) if args.kmax > 1000 else (10, 100, args.kmax)
+    ks = tuple(k for k in (10, 100, 1000) if k < args.kmax) + (args.kmax,)
     analysis = analyze_reference(args.game, params, ks=ks)
     if analysis.params_violations:
         crosscheck = {"skipped": "parameters are invalid", "cells": 0, "mismatches": []}

@@ -541,15 +541,35 @@ class RationalityReport:
         return self.weak_ok and self.strict_ok and self.nodes_ok
 
 
-def _own_info_sets(game: Game, player: int) -> list[InfoSet]:
-    return [iset for iset in game.info_sets.values() if iset.player == player]
+def _best_response(game: Game, set_id: str, weights: Mapping, profile: Mapping) -> Fraction:
+    """The owner's best pure continuation value from ``set_id``, its nodes
+    weighted by ``weights`` and everyone else following ``profile``.  Under
+    perfect recall each later info set of the owner follows one action here,
+    so the sets below separate and are maximised one by one."""
+    iset, values = game.info_sets[set_id], []
+    for action in iset.actions:
+        value, below = Fraction(0), collections.defaultdict(dict)
+        stack = [(game.nodes[h].children[action], w) for h, w in weights.items() if w]
+        while stack:
+            nid, w = stack.pop()
+            node = game.nodes[nid]
+            if node.is_terminal:
+                value += w * node.utilities[iset.player - 1]
+            elif node.player == iset.player:
+                below[node.info_set][nid] = w
+            else:
+                stack += [(node.children[a], w * pr) for a, pr in profile[node.info_set].items() if pr]
+        values.append(value + sum(_best_response(game, s, ws, profile) for s, ws in below.items()))
+    return max(values)
 
 
 def check_sequential_rationality(game: Game, assessment: Assessment) -> RationalityReport:
     """Check the assessment at every information set.
 
     * weak: no alternative full strategy of the owner gains anything under
-      the stated beliefs (max gain <= 0);
+      the stated beliefs (max gain <= 0).  The best one is found by backward
+      induction over the owner's later info sets, which is exact because
+      ``Game`` validates perfect recall;
     * strict: every one-shot deviation at the set itself does strictly worse;
     * nodes: at every single node of the set the prescribed action strictly
       beats each alternative, except at declared payoff-tie nodes, where
@@ -575,14 +595,8 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
             one_shot[a] < eq_value for a in iset.actions if a not in support
         )
 
-        # full deviations: any combination of actions at the owner's sets
-        own_sets = _own_info_sets(game, player)
-        max_gain = Fraction(0) - Fraction(1)  # start below any possible gain
-        for combo in itertools.product(*(s.actions for s in own_sets)):
-            modified = dict(assessment.profile)
-            for s, action in zip(own_sets, combo):
-                modified[s.set_id] = _pure(action, s.actions)
-            max_gain = max(max_gain, _belief_value(game, set_id, beliefs, modified) - eq_value)
+        # full deviations: the owner's best pure strategy from here on
+        max_gain = _best_response(game, set_id, beliefs, assessment.profile) - eq_value
         weak_ok = max_gain <= 0
 
         # per-node dominance of the prescribed action

@@ -248,6 +248,13 @@ def test_analyze_kmax_controls_ladder(capsys):
     assert report["consistency"]["residuals"]["1000"] == "1/500"
 
 
+@pytest.mark.parametrize("kmax,ladder", [("50", ["10", "50"]), ("10", ["10"])])
+def test_analyze_kmax_is_the_largest_k(capsys, kmax, ladder):
+    code, report, _ = run_cli(capsys, "analyze", "--game", "g1", "--kmax", kmax)
+    assert code == 0
+    assert list(report["consistency"]["residuals"]) == ladder
+
+
 def test_analyze_rejects_tiny_kmax(capsys):
     code, _, err = run_cli(capsys, "analyze", "--game", "g1", "--kmax", "2")
     assert code == 2

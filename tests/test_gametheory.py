@@ -12,10 +12,11 @@ Frozen oracle values (hand-computed before the engine existed):
   so the check must fail there and pass once t > z + d.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from countercollusion.gametheory import (
@@ -38,7 +39,7 @@ from countercollusion.gametheory import (
     play,
     reference_equilibrium,
 )
-from countercollusion.ledger import Params
+from countercollusion.ledger import Params, validate_params
 
 W, C, CH, D, T, B = 100, 10, 201, 212, 309, 5
 Z = W - C + D - CH  # 101
@@ -138,6 +139,20 @@ def _uniform_assessment(game):
     return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
 
 
+def _random_profile(game, data):
+    """A behavior profile with weights 0..5 per action, so some actions go unplayed."""
+    profile = {}
+    for iset in sorted(game.info_sets.values(), key=lambda s: s.set_id):
+        weights = [data.draw(st.integers(0, 5), label=f"{iset.set_id}:{a}") for a in iset.actions]
+        if sum(weights) == 0:
+            weights[0] = 1
+        total = sum(weights)
+        profile[iset.set_id] = {
+            a: Fraction(wgt, total) for a, wgt in zip(iset.actions, weights)
+        }
+    return profile
+
+
 def test_uniform_plain_game_value_is_frozen_oracle():
     game = build_game("g1", BASE)
     assessment = _uniform_assessment(game)
@@ -160,15 +175,7 @@ def test_outcome_distribution_sums_to_one_and_matches_node_value():
 @given(data=st.data())
 def test_random_profile_evaluation_identity(data):
     game = build_game("g3", BASE)
-    profile = {}
-    for iset in sorted(game.info_sets.values(), key=lambda s: s.set_id):
-        weights = [data.draw(st.integers(0, 5), label=f"{iset.set_id}:{a}") for a in iset.actions]
-        if sum(weights) == 0:
-            weights[0] = 1
-        total = sum(weights)
-        profile[iset.set_id] = {
-            a: Fraction(wgt, total) for a, wgt in zip(iset.actions, weights)
-        }
+    profile = _random_profile(game, data)
     dist = outcome_distribution(game, profile)
     assert sum(dist.values()) == 1
     for player in (1, 2):
@@ -326,6 +333,103 @@ def test_gain_formula_tracks_t():
         assert i12.one_shot_values["fx"] - i12.eq_value == gain
 
 
+def _ref_max_gain(game, assessment, set_id):
+    """The owner's best gain at ``set_id`` by exhaustion: every combination
+    of pure actions at all of the owner's info sets, each walked through the
+    whole tree under the stated beliefs."""
+    iset = game.info_sets[set_id]
+    own_sets = [s for s in game.info_sets.values() if s.player == iset.player]
+    beliefs = assessment.beliefs[set_id]
+    gains = []
+    for combo in itertools.product(*(s.actions for s in own_sets)):
+        modified = dict(assessment.profile)
+        for s, action in zip(own_sets, combo):
+            modified[s.set_id] = {a: Fraction(int(a == action)) for a in s.actions}
+        value = sum(beliefs.get(h, 0) * node_value(game, h, modified, iset.player)
+                    for h in iset.nodes)
+        gains.append(value - expected_payoff(game, assessment, set_id))
+    return max(gains)
+
+
+@st.composite
+def _valid_params(draw):
+    """Valid parameters with ``t`` on either side of the g4 bound ``z + d``."""
+    c = draw(st.integers(2, 40))
+    w = draw(st.integers(c, 200))
+    ch = 2 * w + draw(st.integers(1, 60))
+    d = c + ch + draw(st.integers(1, 150))
+    b = draw(st.integers(1, c - 1))
+    bound = (w - c + d - ch) + d
+    t = draw(st.one_of(st.integers(bound + 1, bound + 100), st.integers(bound - b + 1, bound)))
+    return Params(w=w, c=c, ch=ch, d=d, t=t, b=b)
+
+
+def _mixed_assessment(game, data):
+    profile = _random_profile(game, data)
+    try:
+        return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
+    except GameError:  # some info set is never reached
+        assume(False)
+
+
+@pytest.mark.parametrize("kind", ["reference", "sequence", "mixed"])
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=8, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_full_deviation_gain_matches_exhaustive_search(gid, kind, params, data):
+    assert validate_params(params) == []
+    game = build_game(gid, params)
+    assessment = reference_equilibrium(game)
+    if kind == "sequence":
+        assessment = consistency_sequence(game, assessment, data.draw(st.integers(3, 12)))
+    elif kind == "mixed":
+        assessment = _mixed_assessment(game, data)
+    for check in check_sequential_rationality(game, assessment).checks:
+        gain = _ref_max_gain(game, assessment, check.set_id)
+        assert check.full_deviation_max_gain == gain, check.set_id
+        assert check.weak_ok == (gain <= 0), check.set_id
+
+
+def test_full_deviation_plans_across_later_info_sets():
+    """Player 1 moves at I1, then -- after a mixed move of player 2 that it
+    does not see -- at J.  Under the stated profile (b at I1, d at J) the
+    one-shot deviation a is worth 8/3 < 3, but a followed by c is worth
+    10/3, so the best full deviation gains exactly 1/3.  Choosing c or d
+    separately at each node of J would claim 6 - 3 = 3; keeping d at J would
+    claim no gain at all."""
+    def leaf(nid, u):
+        return Node(nid, utilities=(Fraction(u), Fraction(0)), label=f"X:{nid}")
+
+    nodes = {
+        "v0": Node("v0", player=1, info_set="I1", children={"a": "v1", "b": "t0"}),
+        "v1": Node("v1", player=2, info_set="I2", children={"x": "v2", "y": "v3"}),
+        "v2": Node("v2", player=1, info_set="J", children={"d": "t2", "c": "t1"}),
+        "v3": Node("v3", player=1, info_set="J", children={"d": "t4", "c": "t3"}),
+        **{nid: leaf(nid, u) for nid, u in (("t0", 3), ("t1", 10), ("t2", 0),
+                                            ("t3", 0), ("t4", 4))},
+    }
+    game = Game("plan", BASE, nodes, {
+        "I1": InfoSet("I1", 1, ("v0",), ("a", "b")),
+        "I2": InfoSet("I2", 2, ("v1",), ("x", "y")),
+        "J": InfoSet("J", 1, ("v2", "v3"), ("d", "c")),
+    })
+    third = Fraction(1, 3)
+    assessment = Assessment(
+        profile={"I1": {"a": Fraction(0), "b": Fraction(1)},
+                 "I2": {"x": third, "y": 1 - third},
+                 "J": {"d": Fraction(1), "c": Fraction(0)}},
+        beliefs={"I1": {"v0": Fraction(1)}, "I2": {"v1": Fraction(1)},
+                 "J": {"v2": third, "v3": 1 - third}},
+    )
+    checks = {c.set_id: c for c in check_sequential_rationality(game, assessment).checks}
+    assert checks["I1"].one_shot_values == {"a": Fraction(8, 3), "b": Fraction(3)}
+    assert checks["I1"].strict_ok and not checks["I1"].weak_ok
+    assert checks["I1"].full_deviation_max_gain == third
+    assert checks["J"].full_deviation_max_gain == Fraction(2, 3)
+    for set_id, check in checks.items():
+        assert check.full_deviation_max_gain == _ref_max_gain(game, assessment, set_id)
+
+
 # ---------------------------------------------------------------------------
 # Boundary sensitivity: each violated constraint breaks a specific check
 # ---------------------------------------------------------------------------
@@ -440,7 +544,6 @@ def test_normal_form_nash_check_for_coalition_game():
                             for a in game.info_sets[sid].actions}
         return node_value(game, game.root, profile, player)
 
-    import itertools
     p1_strats = list(itertools.product(*(game.info_sets[s].actions for s in p1_sets)))
     p2_strats = list(itertools.product(*(game.info_sets[s].actions for s in p2_sets)))
     eq1, eq2 = ("init", "r"), ("collude", "r")
