@@ -35,7 +35,14 @@ from countercollusion.crypto import (
     setup,
     verify_eq,
     verify_neq,
+    _GLV_A1,
+    _GLV_A2,
+    _GLV_B1,
+    _GLV_B2,
+    _GLV_BETA,
+    _GLV_LAMBDA,
     _challenge,
+    _glv_split,
 )
 
 TOY = setup("toy", b"\x01")
@@ -369,8 +376,29 @@ def _ref_sum(gp, terms):
     return acc
 
 
+def _glv_step(b, m):
+    """The least ``k`` whose GLV coefficient ``round(b*k/q)`` is ``m``."""
+    return -(-(2 * m - 1) * SECP.q // (2 * b))
+
+
+def _glv_edges():
+    """secp256k1 scalars whose GLV halves are 0, negative or at the 128-bit
+    bound: multiples of lambda, basis entries, powers of two, and both sides
+    of a step of ``c1 = round(b2*k/q)`` or ``c2 = round(-b1*k/q)``."""
+    q = SECP.q
+    edges = [_GLV_LAMBDA, q - _GLV_LAMBDA, _GLV_LAMBDA**2 % q, 2**128 - 1, 2**128,
+             _GLV_A1, _GLV_A2, -_GLV_B1 % q]
+    for b in (_GLV_B2, -_GLV_B1):
+        for m in (1, b // 2):
+            k = _glv_step(b, m)
+            edges += [k - 1, k]
+    return edges
+
+
 def _scalars(q):
     edges = [0, 1, q - 1, q, q + 1, -1, -q + 1, -q - 1]
+    if q == SECP.q:
+        edges += _glv_edges()
     return st.one_of(st.sampled_from(edges), st.integers(-2 * q, 2 * q))
 
 
@@ -404,6 +432,41 @@ def test_mul_cancelling_and_repeated_bases(gp, data):
     assert g.mul(k, a, -k, a) == g.identity
     assert g.mul(k, a, k, a) == _ref_mul(gp, 2 * k, a)
     assert g.mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
+
+
+# ---------------------------------------------------------------------------
+# GLV endomorphism: constants and scalar split
+# ---------------------------------------------------------------------------
+
+
+def test_glv_constants():
+    p, q = SECP.backend.p, SECP.q
+    assert _GLV_LAMBDA != 1 and pow(_GLV_LAMBDA, 3, q) == 1
+    assert _GLV_BETA != 1 and pow(_GLV_BETA, 3, p) == 1
+    assert (_GLV_A1 + _GLV_B1 * _GLV_LAMBDA) % q == 0
+    assert (_GLV_A2 + _GLV_B2 * _GLV_LAMBDA) % q == 0
+    # a basis of the whole lattice, which the split's bound relies on
+    assert _GLV_A1 * _GLV_B2 - _GLV_A2 * _GLV_B1 == q
+
+
+@pytest.mark.parametrize("which", ["P", "Q", "-P", "hashed-0", "hashed-1", "hashed-2"])
+def test_glv_endomorphism_is_beta_times_x(which):
+    g = SECP.backend
+    a = {"P": SECP.P, "Q": SECP.Q, "-P": g.neg(SECP.P)}.get(which)
+    if a is None:
+        a = g.hash_to_group(b"glv-test", which.encode())
+    expected = (_GLV_BETA * a[0] % g.p, a[1])
+    assert _ref_mul(SECP, _GLV_LAMBDA, a) == expected
+    assert g.mul(_GLV_LAMBDA, a) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0, 1, SECP.q - 1, *_glv_edges()]), st.integers(0, SECP.q - 1)))
+def test_glv_split_halves(k):
+    k1, k2 = _glv_split(k)
+    assert (k1 + k2 * _GLV_LAMBDA - k) % SECP.q == 0
+    assert abs(k1).bit_length() <= 128
+    assert abs(k2).bit_length() <= 128
 
 
 # ---------------------------------------------------------------------------
