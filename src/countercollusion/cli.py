@@ -389,14 +389,20 @@ def _selftest_group(group_id: str) -> dict:
     accept_bound = (forgery_trials // 100) + 10 if group_id == "toy" else 0
 
     c = commit(gp, 3, 4)
-    roundtrip_ok = deserialize_commitment(gp, serialize_commitment(gp, c)) == c
     o3, o4 = rng.randrange(gp.q), rng.randrange(gp.q)
     ca, cb = commit(gp, 9, o3), commit(gp, 9, o4)
     eq = prove_eq(gp, ca, cb, Opening(9, o3), Opening(9, o4), rng)
-    roundtrip_ok &= deserialize_eq_proof(gp, serialize_eq_proof(gp, eq)) == eq
     cc = commit(gp, 10, o4)
     neq = prove_neq(gp, ca, cc, Opening(9, o3), Opening(10, o4), rng)
-    roundtrip_ok &= deserialize_neq_proof(gp, serialize_neq_proof(gp, neq)) == neq
+    roundtrip_ok, sizes_bits = True, {}
+    for name, obj, encode, decode in (
+        ("commitment", c, serialize_commitment, deserialize_commitment),
+        ("equality_proof", eq, serialize_eq_proof, deserialize_eq_proof),
+        ("inequality_proof", neq, serialize_neq_proof, deserialize_neq_proof),
+    ):
+        raw = encode(gp, obj)
+        roundtrip_ok &= decode(gp, raw) == obj
+        sizes_bits[name] = len(raw) * 8
     setup_deterministic = setup(group_id, b"\x01") == gp
 
     return {
@@ -406,11 +412,7 @@ def _selftest_group(group_id: str) -> dict:
         "forgery_trials": forgery_trials,
         "forgery_accepts": accepts,
         "forgery_accept_bound": accept_bound,
-        "sizes_bits": {
-            "commitment": gp.elem_size * 8,
-            "equality_proof": (gp.elem_size + gp.scalar_size) * 8,
-            "inequality_proof": 2 * (gp.elem_size + gp.scalar_size) * 8,
-        },
+        "sizes_bits": sizes_bits,
         "roundtrip_ok": roundtrip_ok,
         "setup_deterministic": setup_deterministic,
         "ok": (

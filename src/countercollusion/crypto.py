@@ -4,8 +4,9 @@ Two interchangeable backends share one additive-notation interface:
 
 * ``toy`` -- the order-509 subgroup of quadratic residues of Z_1019^*.
   Small enough for exhaustive binding checks and hand-derived known-answer
-  vectors; soundness is only 1/509 per forged proof, so it is a test oracle,
-  not a production group.
+  vectors; soundness is only 1/509 per forged proof, and any party can take
+  discrete logs there by table lookup and so forge any proof, so it is a
+  test oracle, not a production group.
 * ``secp256k1`` -- the 256-bit curve, pure-Python Jacobian arithmetic.
 
 ``mul(k, a, k2, a2, ...)`` returns ``k*a + k2*a2 + ...`` in one call: on toy
@@ -17,19 +18,21 @@ the standard secp256k1 ones, see Hankerson-Menezes-Vanstone, Guide to ECC,
 section 3.5): each scalar splits into two halves of at most 128 bits, so
 the shared chain is about 128 doublings instead of 256, with no extra point
 additions or inversions.  Calls per operation are the same on both groups:
-``commit`` 1, ``prove_eq`` 3 and ``prove_neq`` 4 (two of them re-open the
-commitments), ``verify_eq`` 1, ``verify_neq`` 2.
+``commit`` 1, ``prove_eq`` and ``prove_neq`` 3 each (two of them re-open
+the commitments), ``verify_eq`` and ``verify_neq`` 1 each.
 
 Commitments are ``Com_s(m) = m*P + s*Q`` where ``P`` and ``Q`` are both
 derived by hash-to-group from a public seed (nobody knows a discrete log
-relating them).  The equality proof shows two commitments open to the same
-value without revealing it; the inequality proof shows they open to
-different values.  Both are made non-interactive with a SHA-256 challenge
-over ``tag | group-name | enc(P) enc(Q) enc(C1) enc(C2) enc(t...)``.
+relating them).  Both proofs are one proof of knowledge of a representation
+(Schnorr, J. Cryptology 1991; Camenisch-Stadler, CRYPTO 1997): with
+``D = C1 - C2``, the equality proof shows ``D = w*Q`` (same message), the
+inequality proof shows ``P = a*D + b*Q``, which for equal messages would
+need ``log_Q P``.  Both are made non-interactive with a SHA-256 challenge
+over ``tag | group-name | enc(P) enc(Q) enc(C1) enc(C2) enc(t)``.
 
 Encodings are fixed width.  Toy: 2-byte elements / 2-byte scalars.
 secp256k1: 64-byte uncompressed elements (x || y) / 32-byte scalars, giving
-512-bit commitments, 768-bit equality proofs and 1536-bit inequality proofs.
+512-bit commitments, 768-bit equality proofs and 1024-bit inequality proofs.
 
 All randomness comes from caller-supplied ``random.Random`` instances, so
 every artifact is reproducible bit for bit.
@@ -70,7 +73,7 @@ __all__ = [
 
 HTG_TAG = b"countercollusion/htg/v1"
 EQ_TAG = b"countercollusion/nizk-eq/v1"
-NEQ_TAG = b"countercollusion/nizk-neq/v1"
+NEQ_TAG = b"countercollusion/nizk-neq/v2"
 
 #: A scalar is a plain int in ``[0, q)``; helpers reduce on entry.
 Scalar = int
@@ -487,10 +490,9 @@ class EqProof:
 
 @dataclass(frozen=True)
 class NeqProof:
-    """Proof that two commitments hide different messages."""
+    """Proof that two commitments hide different messages: ``(t, eta1, eta2)``."""
 
-    t1: object
-    t2: object
+    t: object
     eta1: Scalar
     eta2: Scalar
 
@@ -543,14 +545,49 @@ def _challenge(gp: GroupParams, tag: bytes, *elems) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# Equality proof: C1 and C2 open to the same message
+# Representation proofs: the prover knows w_i with target = sum(w_i*B_i)
 # ---------------------------------------------------------------------------
+
+
+def _statement(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment) -> tuple:
+    """The bases ``B_i`` and target of the representation a proof under
+    ``tag`` shows, with ``D = C1 - C2``: equality ``D = w*Q``, inequality
+    ``P = a*D + b*Q``."""
+    d = gp.backend.sub(c1.value, c2.value)
+    if tag == EQ_TAG:
+        return (gp.Q,), d
+    return (d, gp.Q), gp.P
+
+
+def _prove(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, witness, rng) -> tuple:
+    """Schnorr's proof of knowledge (J. Cryptology 1991) for a representation
+    (Camenisch-Stadler, CRYPTO 1997), made non-interactive by Fiat-Shamir:
+    ``t = sum(r_i*B_i)``, ``delta = H(tag, C1, C2, t)``,
+    ``eta_i = r_i + delta*w_i``.  Returns ``(t, [eta_i])``."""
+    bases, _ = _statement(gp, tag, c1, c2)
+    nonces = [rand_scalar(gp, rng) for _ in bases]
+    t = gp.backend.mul(*[x for term in zip(nonces, bases) for x in term])
+    delta = _challenge(gp, tag, c1.value, c2.value, t)
+    return t, [(w * delta + r) % gp.q for r, w in zip(nonces, witness)]
+
+
+def _verify(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, t, etas) -> bool:
+    """Check ``sum(eta_i*B_i) - delta*target == t`` in one ``mul`` call."""
+    g = gp.backend
+    if not (g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(t)):
+        return False
+    for eta in etas:
+        if not isinstance(eta, int) or not 0 <= eta < gp.q:
+            return False
+    bases, target = _statement(gp, tag, c1, c2)
+    delta = _challenge(gp, tag, c1.value, c2.value, t)
+    return g.mul(*[x for term in zip(etas, bases) for x in term], -delta, target) == t
 
 
 def prove_eq(
     gp: GroupParams, c1: Commitment, c2: Commitment, o1: Opening, o2: Opening, rng
 ) -> EqProof:
-    """Prove ``C1 - C2`` is a multiple of ``Q`` (same message, different blinding).
+    """Prove ``C1 - C2 = (s1 - s2)*Q``: same message, different blinding.
 
     Raises ``CryptoError('witness-mismatch')`` if the openings do not open the
     commitments or hide different messages.
@@ -559,40 +596,20 @@ def prove_eq(
         raise CryptoError("witness-mismatch", "openings do not match commitments")
     if o1.m % gp.q != o2.m % gp.q:
         raise CryptoError("witness-mismatch", "messages differ; cannot prove equality")
-    g = gp.backend
-    gamma = rand_scalar(gp, rng)
-    t = g.mul(gamma, gp.Q)
-    delta = _challenge(gp, EQ_TAG, c1.value, c2.value, t)
-    eta = ((o1.s - o2.s) * delta + gamma) % gp.q
+    t, (eta,) = _prove(gp, EQ_TAG, c1, c2, (o1.s - o2.s,), rng)
     return EqProof(t=t, eta=eta)
 
 
 def verify_eq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: EqProof) -> bool:
-    """Check ``eta*Q == delta*(C1 - C2) + t``, as ``eta*Q - delta*(C1 - C2) == t``."""
-    g = gp.backend
-    if not (
-        g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(proof.t)
-    ):
-        return False
-    if not isinstance(proof.eta, int) or not 0 <= proof.eta < gp.q:
-        return False
-    delta = _challenge(gp, EQ_TAG, c1.value, c2.value, proof.t)
-    return g.mul(proof.eta, gp.Q, -delta, g.sub(c1.value, c2.value)) == proof.t
-
-
-# ---------------------------------------------------------------------------
-# Inequality proof: C1 and C2 open to different messages
-# ---------------------------------------------------------------------------
+    """Check ``eta*Q - delta*(C1 - C2) == t``."""
+    return _verify(gp, EQ_TAG, c1, c2, proof.t, (proof.eta,))
 
 
 def prove_neq(
     gp: GroupParams, c1: Commitment, c2: Commitment, o1: Opening, o2: Opening, rng
 ) -> NeqProof:
-    """Prove the two committed messages differ.
-
-    The nonces are drawn again while the challenge is 0 mod ``q``: that
-    challenge would cancel the message difference that ``verify_neq``'s
-    disequality check looks for, so every proof returned verifies.
+    """Prove ``P = a*(C1 - C2) + b*Q`` with ``a = (m1 - m2)^-1`` and
+    ``b = -a*(s1 - s2)``, which exist only if the messages differ.
 
     Raises ``CryptoError('witness-mismatch')`` on bad openings or equal
     messages.
@@ -601,42 +618,14 @@ def prove_neq(
         raise CryptoError("witness-mismatch", "openings do not match commitments")
     if o1.m % gp.q == o2.m % gp.q:
         raise CryptoError("witness-mismatch", "messages equal; cannot prove inequality")
-    g = gp.backend
-    delta = 0
-    while delta == 0:
-        gamma1 = rand_scalar(gp, rng)
-        gamma2 = rand_scalar(gp, rng)
-        t1 = g.mul(gamma1, gp.P)
-        t2 = g.mul(gamma2, gp.Q)
-        delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t1, t2)
-    eta1 = ((o1.m - o2.m) * delta + gamma1) % gp.q
-    eta2 = ((o1.s - o2.s) * delta + gamma2) % gp.q
-    return NeqProof(t1=t1, t2=t2, eta1=eta1, eta2=eta2)
+    a = pow(o1.m - o2.m, -1, gp.q)
+    t, (eta1, eta2) = _prove(gp, NEQ_TAG, c1, c2, (a, -a * (o1.s - o2.s)), rng)
+    return NeqProof(t=t, eta1=eta1, eta2=eta2)
 
 
 def verify_neq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: NeqProof) -> bool:
-    """Check ``eta1*P + eta2*Q == delta*(C1-C2) + t1 + t2`` and that the
-    message-difference component is non-zero (``eta2*Q != delta*(C1-C2) + t2``).
-
-    Both go through ``r = eta2*Q - delta*(C1-C2)``: reject if ``r == t2``,
-    accept if ``eta1*P + r == t1 + t2``.
-    """
-    g = gp.backend
-    if not (
-        g.is_member(c1.value)
-        and g.is_member(c2.value)
-        and g.is_member(proof.t1)
-        and g.is_member(proof.t2)
-    ):
-        return False
-    for eta in (proof.eta1, proof.eta2):
-        if not isinstance(eta, int) or not 0 <= eta < gp.q:
-            return False
-    delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, proof.t1, proof.t2)
-    r = g.mul(proof.eta2, gp.Q, -delta, g.sub(c1.value, c2.value))
-    if r == proof.t2:
-        return False
-    return g.add(g.mul(proof.eta1, gp.P), r) == g.add(proof.t1, proof.t2)
+    """Check ``eta1*(C1 - C2) + eta2*Q - delta*P == t``."""
+    return _verify(gp, NEQ_TAG, c1, c2, proof.t, (proof.eta1, proof.eta2))
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +633,21 @@ def verify_neq(gp: GroupParams, c1: Commitment, c2: Commitment, proof: NeqProof)
 # ---------------------------------------------------------------------------
 
 
-def _enc_scalar(gp: GroupParams, k: Scalar) -> bytes:
-    return (k % gp.q).to_bytes(gp.scalar_size, "big")
+def _encode_proof(gp: GroupParams, t, etas) -> bytes:
+    scalars = b"".join((eta % gp.q).to_bytes(gp.scalar_size, "big") for eta in etas)
+    return gp.backend.encode(t) + scalars
 
 
-def _dec_scalar(gp: GroupParams, raw: bytes) -> Scalar:
-    k = int.from_bytes(raw, "big")
-    if k >= gp.q:
+def _decode_proof(gp: GroupParams, raw: bytes, n_scalars: int) -> tuple:
+    """``(t, [eta_i])`` from one element followed by ``n_scalars`` scalars."""
+    es, ss = gp.elem_size, gp.scalar_size
+    if len(raw) != es + n_scalars * ss:
+        raise CryptoError("bad-encoding", "wrong proof length")
+    t = gp.backend.decode(raw[:es])
+    etas = [int.from_bytes(raw[i : i + ss], "big") for i in range(es, len(raw), ss)]
+    if any(eta >= gp.q for eta in etas):
         raise CryptoError("bad-encoding", "scalar out of range")
-    return k
+    return t, etas
 
 
 def serialize_commitment(gp: GroupParams, c: Commitment) -> bytes:
@@ -664,32 +659,18 @@ def deserialize_commitment(gp: GroupParams, raw: bytes) -> Commitment:
 
 
 def serialize_eq_proof(gp: GroupParams, proof: EqProof) -> bytes:
-    return gp.backend.encode(proof.t) + _enc_scalar(gp, proof.eta)
+    return _encode_proof(gp, proof.t, (proof.eta,))
 
 
 def deserialize_eq_proof(gp: GroupParams, raw: bytes) -> EqProof:
-    es, ss = gp.elem_size, gp.scalar_size
-    if len(raw) != es + ss:
-        raise CryptoError("bad-encoding", "wrong proof length")
-    return EqProof(t=gp.backend.decode(raw[:es]), eta=_dec_scalar(gp, raw[es:]))
+    t, (eta,) = _decode_proof(gp, raw, 1)
+    return EqProof(t=t, eta=eta)
 
 
 def serialize_neq_proof(gp: GroupParams, proof: NeqProof) -> bytes:
-    return (
-        gp.backend.encode(proof.t1)
-        + gp.backend.encode(proof.t2)
-        + _enc_scalar(gp, proof.eta1)
-        + _enc_scalar(gp, proof.eta2)
-    )
+    return _encode_proof(gp, proof.t, (proof.eta1, proof.eta2))
 
 
 def deserialize_neq_proof(gp: GroupParams, raw: bytes) -> NeqProof:
-    es, ss = gp.elem_size, gp.scalar_size
-    if len(raw) != 2 * es + 2 * ss:
-        raise CryptoError("bad-encoding", "wrong proof length")
-    return NeqProof(
-        t1=gp.backend.decode(raw[:es]),
-        t2=gp.backend.decode(raw[es : 2 * es]),
-        eta1=_dec_scalar(gp, raw[2 * es : 2 * es + ss]),
-        eta2=_dec_scalar(gp, raw[2 * es + ss :]),
-    )
+    t, (eta1, eta2) = _decode_proof(gp, raw, 2)
+    return NeqProof(t=t, eta1=eta1, eta2=eta2)

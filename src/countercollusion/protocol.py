@@ -40,7 +40,7 @@ from .contracts import (
     TCState,
     TraitorsContract,
 )
-from .crypto import Opening, commit, digest, prove_eq, prove_neq, setup
+from .crypto import CryptoError, Opening, commit, digest, prove_eq, prove_neq, setup
 from .gametheory import terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -133,10 +133,9 @@ class Task:
             return data
         if self.kind == "arithmetic-expression":
             try:
-                x = int(self.x)
-            except ValueError as exc:
-                raise ScenarioError("invalid-task", f"bad integer input: {exc}") from exc
-            return str(_eval_arith(self.expr, x)).encode()
+                return str(_eval_arith(self.expr, int(self.x))).encode()
+            except ValueError as exc:  # not an integer, or past the int-to-str digit limit
+                raise ScenarioError("invalid-task", f"bad integer input or result: {exc}") from exc
         raise ScenarioError("invalid-task", f"unknown task kind {self.kind!r}")
 
 
@@ -248,12 +247,16 @@ def ttp_resolve(ctp: PrisonersContract, task: Task, received: dict[AccountId, Op
     for worker in ctp.workers:
         com_y = ctp.delivered.get(worker)
         opening = received.get(worker)
-        if com_y is None or opening is None or commit(gp, opening.m, opening.s) != com_y:
-            nizks.append(None)
-        elif opening.m % gp.q == m_true:
-            nizks.append(prove_eq(gp, com_y, com_yt, opening, opening_t, rng))
-        else:
-            nizks.append(prove_neq(gp, com_y, com_yt, opening, opening_t, rng))
+        nizk = None
+        if com_y is not None and opening is not None:
+            prove = prove_eq if opening.m % gp.q == m_true else prove_neq
+            try:
+                nizk = prove(gp, com_y, com_yt, opening, opening_t, rng)
+            except CryptoError as exc:
+                # an opening that does not open the delivery earns no proof
+                if exc.code != "witness-mismatch":
+                    raise
+        nizks.append(nizk)
     ctp.dispute(ctp.ttp, com_yt, nizks[0], nizks[1])
     return opening_t
 
@@ -336,7 +339,7 @@ def run_scenario(
     coalition_attempt = initiator is not None
     # both parties learn r and the two blindings off-chain when the offer is made
     s_r = {clouds[0]: rng.randrange(gp.q), clouds[1]: rng.randrange(gp.q)}
-    com_r = {cl: commit(gp, m_r, s_r[cl]) for cl in clouds}
+    com_r = {cl: commit(gp, m_r, s_r[cl]) for cl in clouds} if coalition_attempt else {}
     ctc: Optional[ColludersContract] = None
     ledger.advance_time(1)
     if coalition_attempt:

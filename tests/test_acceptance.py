@@ -13,7 +13,8 @@ Criteria:
   3. equilibrium play reaches the stated honest terminal with probability 1;
   4. breaking each monetary boundary constraint is detected (CLI exits 4);
   5. the proof system is complete (toy group), sound against random
-     forgeries (secp256k1), and bit-exact against frozen known answers;
+     equality forgeries and against inequality forgeries for commitments to
+     one message (secp256k1), and bit-exact against frozen known answers;
   6. 1000 randomized contract call/timing sequences never break money
      conservation, never leave escrow stuck, and always end in a defined
      terminal state;
@@ -47,6 +48,7 @@ from countercollusion.contracts import (
     TraitorsContract,
 )
 from countercollusion.crypto import (
+    NEQ_TAG,
     EqProof,
     NeqProof,
     Opening,
@@ -60,6 +62,7 @@ from countercollusion.crypto import (
     setup,
     verify_eq,
     verify_neq,
+    _challenge,
 )
 from countercollusion.gametheory import (
     GAME_IDS,
@@ -242,7 +245,7 @@ def test_criterion_5_crypto_completeness_soundness_kats():
         problems.append("equality proof known answer")
     neq_kat = prove_neq(TOY, commit(TOY, 7, 11), commit(TOY, 9, 13),
                         Opening(7, 11), Opening(9, 13), random.Random(43))
-    if (neq_kat.t1, neq_kat.t2, neq_kat.eta1, neq_kat.eta2) != (602, 76, 91, 218):
+    if (neq_kat.t, neq_kat.eta1, neq_kat.eta2) != (806, 306, 211):
         problems.append("inequality proof known answer")
 
     # completeness: 1000 random equality + inequality proofs all verify (toy)
@@ -280,7 +283,7 @@ def test_criterion_5_crypto_completeness_soundness_kats():
     if accepts:
         problems.append(f"{accepts} forged proofs accepted on secp256k1")
 
-    # wire sizes on the 256-bit group: 512/768/1536-bit objects
+    # wire sizes on the 256-bit group: 512/768/1024-bit objects
     eq = prove_eq(secp, c1, commit(secp, 1, 7), Opening(1, 5), Opening(1, 7), rng)
     neq = prove_neq(secp, c1, c2, Opening(1, 5), Opening(2, 6), rng)
     sizes = (
@@ -288,14 +291,29 @@ def test_criterion_5_crypto_completeness_soundness_kats():
         len(serialize_eq_proof(secp, eq)) * 8,
         len(serialize_neq_proof(secp, neq)) * 8,
     )
-    if sizes != (512, 768, 1536):
-        problems.append(f"serialized sizes {sizes} != (512, 768, 1536)")
+    if sizes != (512, 768, 1024):
+        problems.append(f"serialized sizes {sizes} != (512, 768, 1024)")
+
+    # soundness of the inequality proof against the forgery the former
+    # two-equation verifier accepted: commitments to one message and a proof
+    # made from the blinding difference alone
+    g, c1b = secp.backend, commit(secp, 1, 9)
+    neq_accepts = 0
+    for _ in range(10):
+        a, e = rng.randrange(secp.q), rng.randrange(secp.q)
+        t = g.mul(a + 1, secp.P, e, secp.Q)
+        delta = _challenge(secp, NEQ_TAG, c1.value, c1b.value, t)
+        forged = NeqProof(t=t, eta1=(a + 1) % secp.q, eta2=(delta * (5 - 9) + e) % secp.q)
+        neq_accepts += verify_neq(secp, c1, c1b, forged)
+    if neq_accepts:
+        problems.append(f"{neq_accepts} forged inequality proofs accepted on secp256k1")
 
     _report(
         "criterion 5 (proof completeness, soundness, known answers)",
         not problems,
         ("1000/1000 proofs verified, 0/1000 forgeries accepted, "
-         "known answers bit-exact, sizes 512/768/1536 bits"
+         "0/10 inequality forgeries for one message accepted, "
+         "known answers bit-exact, sizes 512/768/1024 bits"
          if not problems else "; ".join(problems)),
     )
 

@@ -10,6 +10,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from countercollusion.cli import main
 
@@ -304,7 +306,7 @@ def test_crypto_selftest_toy(capsys):
     assert entry["forgery_accepts"] <= entry["forgery_accept_bound"]
     assert entry["roundtrip_ok"] is True
     assert entry["sizes_bits"] == {
-        "commitment": 16, "equality_proof": 32, "inequality_proof": 64,
+        "commitment": 16, "equality_proof": 32, "inequality_proof": 48,
     }
 
 
@@ -316,7 +318,7 @@ def test_crypto_selftest_both_groups(capsys):
     secp = by_group["secp256k1"]
     assert secp["forgery_accepts"] == 0
     assert secp["sizes_bits"] == {
-        "commitment": 512, "equality_proof": 768, "inequality_proof": 1536,
+        "commitment": 512, "equality_proof": 768, "inequality_proof": 1024,
     }
 
 
@@ -358,19 +360,24 @@ def test_batch_reports_scenario_failures(capsys, tmp_path):
 
 
 def test_hostile_arithmetic_task_is_a_scenario_error(capsys, tmp_path):
-    scenario = {"task": {"kind": "arithmetic-expression", "x": "3", "expr": "x" + "+x" * 200000}}
     cfg = tmp_path / "scenario.json"
-    cfg.write_text(json.dumps(scenario))
-    code, report, err = run_cli(capsys, "run", "--config", str(cfg))
-    assert code == 3
-    assert report is None
-    assert "invalid-task" in err and "Traceback" not in err
-    cfg.write_text(json.dumps([{}, scenario]))
-    code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
-    assert code == 3
-    assert report["failures"] == 1
-    assert report["results"][1]["error"] == "invalid-task"
-    assert "Traceback" not in err
+    for x, expr in [
+        ("3", "x" + "+x" * 200000),
+        ("9" * 4000, "x*x"),  # 8000 digits, past the int-to-str digit limit
+        (str(2**64 - 1), "x**64*x**64*x**64*x**64"),  # 4932 digits
+    ]:
+        scenario = {"task": {"kind": "arithmetic-expression", "x": x, "expr": expr}}
+        cfg.write_text(json.dumps(scenario))
+        code, report, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 3
+        assert report is None
+        assert "invalid-task" in err and "Traceback" not in err
+        cfg.write_text(json.dumps([{}, scenario]))
+        code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
+        assert code == 3
+        assert report["failures"] == 1
+        assert report["results"][1]["error"] == "invalid-task"
+        assert "Traceback" not in err
 
 
 def test_batch_rejects_empty_list(capsys, tmp_path):
@@ -379,3 +386,60 @@ def test_batch_rejects_empty_list(capsys, tmp_path):
     code, _, err = run_cli(capsys, "batch", "--config", str(cfg))
     assert code == 2
     assert "non-empty" in err
+
+
+# ---------------------------------------------------------------------------
+# hostile scenario configs
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                  st.lists(st.integers(), max_size=2))
+_INTS = st.one_of(st.integers(-5, 400), st.integers(-2**70, 2**70))
+
+
+def _maybe_junk(strategy):
+    """Mostly ``strategy``; one draw in ten is a value of the wrong type."""
+    return st.integers(0, 9).flatmap(lambda i: _JUNK if i == 0 else strategy)
+
+
+def _object(fields: dict):
+    """A JSON object with any subset of ``fields``, now and then with an
+    unknown key or replaced by a non-object."""
+    keys = st.fixed_dictionaries({}, optional=fields)
+    with_extra = keys.map(lambda d: {**d, "extra": 1})
+    return st.integers(0, 19).flatmap(
+        lambda i: _JUNK if i == 0 else with_extra if i == 1 else keys)
+
+
+_SCENARIO = _object({
+    "params": _object({k: _maybe_junk(_INTS) for k in ("w", "c", "ch", "d", "t", "b")}),
+    "task": _object({
+        "kind": _maybe_junk(st.sampled_from(["iterated-hash", "arithmetic-expression", "x"])),
+        "x": _maybe_junk(st.one_of(st.sampled_from(["00", "ab", "zz", "-3", "9" * 40]),
+                                   st.text(max_size=5))),
+        "rounds": _maybe_junk(st.integers(-2, 20_001)),
+        "expr": _maybe_junk(st.one_of(st.sampled_from(["x", "x**64*x**64", "x/2", "(x"]),
+                                      st.text("x+-*0123456789() ", max_size=12))),
+        "cost": _maybe_junk(_INTS),
+    }),
+    **{cloud: _object({
+        "coalition_role": _maybe_junk(st.sampled_from(["honest", "initiate", "accept", "reject"])),
+        "report_choice": _maybe_junk(
+            st.sampled_from(["no_report", "report_correct", "report_wrong"])),
+        "ctp_action": _maybe_junk(st.sampled_from(["fx", "r", "other", "withhold"])),
+    }) for cloud in ("cloud1", "cloud2")},
+    "seed": _maybe_junk(_INTS),
+    "traitor_enabled": _maybe_junk(st.sampled_from([None, True, False])),
+    "schedule": _object({k: _maybe_junk(_INTS) for k in ("T1", "T2", "T3", "T4", "T5")}),
+})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenario=_SCENARIO)
+def test_hostile_run_config_exits_with_a_documented_code(capsys, tmp_path, scenario):
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(scenario))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--group", "toy")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err

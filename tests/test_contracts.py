@@ -22,13 +22,16 @@ from countercollusion.contracts import (
     TraitorsContract,
 )
 from countercollusion.crypto import (
+    NEQ_TAG,
     Commitment,
+    NeqProof,
     Opening,
     commit,
     digest,
     prove_eq,
     prove_neq,
     setup,
+    _challenge,
 )
 from countercollusion.ledger import AccountId, Ledger
 
@@ -293,6 +296,51 @@ def test_dispute_rejects_bad_proofs():
     with pytest.raises(ContractError) as e:
         world2.ctp.dispute(TTP, com_yt2, nizks2[0], nizks2[0])
     assert e.value.code == "ttp-proof-invalid"
+
+
+def test_framing_arbiter_cannot_punish_an_honest_cloud_secp256k1():
+    """Clause 10c punishes a cloud only on a verified inequality proof.  An
+    arbiter who holds the openings of two honest deliveries and forges one
+    for cloud2 from the blinding difference alone (the former verifier's
+    recipe packed into ``(t, eta1, eta2)``, or a proof simulated for a
+    challenge chosen before ``t``) is refused, and no money moves."""
+    gp = setup("secp256k1", b"\x01")
+    g, q = gp.backend, gp.q
+    ledger = Ledger({CLIENT: 2000, CLOUD1: 2000, CLOUD2: 2000, TTP: 0})
+    ctp = PrisonersContract.create(
+        ledger, gp, CLIENT, TTP, commit(gp, 1, 1), commit(gp, 2, 2), W, D, CH, T1=10, T2=20, T3=30
+    )
+    ctp.bid(CLOUD1)
+    ctp.bid(CLOUD2)
+    m, s1, s2, st = digest(gp, b"result-good"), 11, 22, 77
+    c1, c2, com_yt = commit(gp, m, s1), commit(gp, m, s2), commit(gp, m, st)
+    ctp.deliver(CLOUD1, c1)
+    ctp.deliver(CLOUD2, c2)
+    ctp.pay(CLIENT, None)
+    rng = random.Random(5)
+    honest = prove_eq(gp, c1, com_yt, Opening(m, s1), Opening(m, st), rng)
+
+    a, e = rng.randrange(q), rng.randrange(q)
+    t = g.mul(a + 1, gp.P, e, gp.Q)  # t1 + t2 of the former recipe
+    delta = _challenge(gp, NEQ_TAG, c2.value, com_yt.value, t)
+    eta1, eta2 = rng.randrange(q), rng.randrange(q)
+    forgeries = [
+        NeqProof(t=t, eta1=(a + 1) % q, eta2=(delta * (s2 - st) + e) % q),
+        NeqProof(
+            t=g.mul(eta1, g.sub(c2.value, com_yt.value), eta2, gp.Q, -rng.randrange(q), gp.P),
+            eta1=eta1, eta2=eta2,
+        ),
+    ]
+    before = ledger.snapshot()
+    for forged in forgeries:
+        with pytest.raises(ContractError) as err:
+            ctp.dispute(TTP, com_yt, honest, forged)
+        assert err.value.code == "ttp-proof-invalid"
+        assert ledger.snapshot() == before
+        assert ctp.state is PCState.ERROR
+    honest2 = prove_eq(gp, c2, com_yt, Opening(m, s2), Opening(m, st), rng)
+    ctp.dispute(TTP, com_yt, honest, honest2)
+    assert ctp.dispute_record.cheated == {CLOUD1: False, CLOUD2: False}
 
 
 def test_timer_clause_11_lazy_client():

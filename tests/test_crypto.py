@@ -1,8 +1,9 @@
 """Commitment/proof tests, anchored by independently derived known answers.
 
 The KAT constants below were computed with a standalone hashlib oracle
-(plain modular arithmetic, no package imports) before the library was
-written; the library must reproduce them bit for bit.
+(plain modular arithmetic, no package imports), the inequality proof's
+when its protocol became the representation proof ``P = a*D + b*Q``; the
+library must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from countercollusion.crypto import (
     _GLV_LAMBDA,
     _challenge,
     _glv_split,
+    _prove,
 )
 
 TOY = setup("toy", b"\x01")
@@ -61,10 +63,9 @@ KAT_EQ_ETA = 69
 # inequality proof for m1=7, m2=9, s1=11, s2=13, rng seed 43
 KAT_NEQ_C1 = 611
 KAT_NEQ_C2 = 836
-KAT_NEQ_T1 = 602
-KAT_NEQ_T2 = 76
-KAT_NEQ_ETA1 = 91
-KAT_NEQ_ETA2 = 218
+KAT_NEQ_T = 806
+KAT_NEQ_ETA1 = 306
+KAT_NEQ_ETA2 = 211
 
 # Pinned seed for the toy soundness smoke test.  A random equality proof
 # false-accepts with probability 1/509 in the toy group (~2 expected hits per
@@ -104,8 +105,7 @@ def test_neq_proof_kat():
     c2 = commit(TOY, 9, 13)
     assert (c1.value, c2.value) == (KAT_NEQ_C1, KAT_NEQ_C2)
     proof = prove_neq(TOY, c1, c2, Opening(7, 11), Opening(9, 13), random.Random(43))
-    assert (proof.t1, proof.t2) == (KAT_NEQ_T1, KAT_NEQ_T2)
-    assert (proof.eta1, proof.eta2) == (KAT_NEQ_ETA1, KAT_NEQ_ETA2)
+    assert (proof.t, proof.eta1, proof.eta2) == (KAT_NEQ_T, KAT_NEQ_ETA1, KAT_NEQ_ETA2)
     assert verify_neq(TOY, c1, c2, proof)
 
 
@@ -165,43 +165,6 @@ def test_eq_proof_tamper_rejected():
     if other_t != proof.t:
         assert not verify_eq(TOY, c1, c2, EqProof(other_t, proof.eta))
     assert not verify_eq(TOY, c2, c1, proof)  # transcript binds the order
-
-
-def test_neq_second_check_blocks_equal_messages():
-    """A prover who follows the inequality recipe on *equal* messages passes
-    the first verification equation but is caught by the second."""
-    q = TOY.q
-    backend = TOY.backend
-    s1, s2 = 11, 222
-    c1 = commit(TOY, 8, s1)
-    c2 = commit(TOY, 8, s2)
-    rng = random.Random(77)
-    gamma1, gamma2 = rng.randrange(q), rng.randrange(q)
-    t1 = backend.mul(gamma1, TOY.P)
-    t2 = backend.mul(gamma2, TOY.Q)
-    import hashlib
-
-    from countercollusion.crypto import NEQ_TAG
-
-    transcript = (
-        NEQ_TAG + b"|" + backend.wire_name + b"|"
-        + backend.encode(TOY.P) + backend.encode(TOY.Q)
-        + backend.encode(c1.value) + backend.encode(c2.value)
-        + backend.encode(t1) + backend.encode(t2)
-    )
-    delta = int.from_bytes(hashlib.sha256(transcript).digest(), "big") % q
-    eta1 = gamma1  # message difference is zero
-    eta2 = ((s1 - s2) * delta + gamma2) % q
-    forged = NeqProof(t1=t1, t2=t2, eta1=eta1, eta2=eta2)
-    # First equation holds for the forgery...
-    lhs = backend.add(backend.mul(eta1, TOY.P), backend.mul(eta2, TOY.Q))
-    rhs = backend.add(
-        backend.mul(delta, backend.sub(c1.value, c2.value)),
-        backend.add(t1, t2),
-    )
-    assert lhs == rhs
-    # ...but the verifier still rejects, thanks to the second equation.
-    assert not verify_neq(TOY, c1, c2, forged)
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,10 +265,10 @@ def test_secp_proof_roundtrip_and_sizes():
     neq = prove_neq(SECP, c1, c3, Opening(m, s1), Opening(m2, s2), rng)
     assert verify_neq(SECP, c1, c3, neq)
 
-    # serialized sizes: 512-bit commitment, 768-bit eq proof, 1536-bit neq proof
+    # serialized sizes: 512-bit commitment, 768-bit eq proof, 1024-bit neq proof
     assert len(serialize_commitment(SECP, c1)) * 8 == 512
     assert len(serialize_eq_proof(SECP, eq)) * 8 == 768
-    assert len(serialize_neq_proof(SECP, neq)) * 8 == 1536
+    assert len(serialize_neq_proof(SECP, neq)) * 8 == 1024
 
     assert deserialize_commitment(SECP, serialize_commitment(SECP, c1)) == c1
     assert deserialize_eq_proof(SECP, serialize_eq_proof(SECP, eq)) == eq
@@ -321,7 +284,7 @@ def test_toy_serialization_roundtrip():
     assert deserialize_eq_proof(TOY, serialize_eq_proof(TOY, eq)) == eq
     c3 = commit(TOY, 9, 44)
     neq = prove_neq(TOY, c1, c3, Opening(4, 44), Opening(9, 44), rng)
-    assert len(serialize_neq_proof(TOY, neq)) == 8
+    assert len(serialize_neq_proof(TOY, neq)) == 6
     assert deserialize_neq_proof(TOY, serialize_neq_proof(TOY, neq)) == neq
 
 
@@ -488,39 +451,102 @@ def _ref_verify_eq(gp, c1, c2, proof) -> bool:
 
 
 def _ref_verify_neq(gp, c1, c2, proof) -> bool:
-    """``eta1*P + eta2*Q == delta*(C1-C2) + t1 + t2`` and
-    ``eta2*Q != delta*(C1-C2) + t2`` with one reference mul per product."""
+    """``eta1*(C1 - C2) + eta2*Q == delta*P + t`` with one reference mul per
+    product."""
     g = gp.backend
-    elems = (c1.value, c2.value, proof.t1, proof.t2)
-    if not all(g.is_member(e) for e in elems):
+    if not (g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(proof.t)):
         return False
     for eta in (proof.eta1, proof.eta2):
         if not isinstance(eta, int) or not 0 <= eta < gp.q:
             return False
-    delta = _challenge(gp, NEQ_TAG, *elems)
+    delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, proof.t)
     diff = g.sub(c1.value, c2.value)
-    lhs = g.add(_ref_mul(gp, proof.eta1, gp.P), _ref_mul(gp, proof.eta2, gp.Q))
-    rhs = g.add(_ref_mul(gp, delta, diff), g.add(proof.t1, proof.t2))
-    if lhs != rhs:
-        return False
-    return _ref_mul(gp, proof.eta2, gp.Q) != g.add(_ref_mul(gp, delta, diff), proof.t2)
+    lhs = g.add(_ref_mul(gp, proof.eta1, diff), _ref_mul(gp, proof.eta2, gp.Q))
+    return lhs == g.add(_ref_mul(gp, delta, gp.P), proof.t)
 
 
-def _forged_neq(gp, c1, c2, s1, s2, rng) -> NeqProof:
-    """An inequality "proof" for commitments to one message, made from
-    ``s1 - s2`` alone: ``t1 = a*P``, ``t2 = P + e*Q``, ``eta1 = a + 1``,
-    ``eta2 = delta*(s1 - s2) + e``."""
+def _old_recipe_forgeries(gp, c1, c2, s1, s2, rng) -> list[NeqProof]:
+    """The forgery the former two-equation verifier accepted for commitments
+    to one message, made from ``s1 - s2`` alone (``t1 = a*P``,
+    ``t2 = P + e*Q``, ``eta1 = a + 1``, ``eta2 = delta*(s1 - s2) + e``),
+    packed into the one-element layout with ``t`` as ``t1 + t2``, ``t1`` or
+    ``t2``."""
     g = gp.backend
     a, e = rng.randrange(gp.q), rng.randrange(gp.q)
-    t1 = g.mul(a, gp.P)
-    t2 = g.add(gp.P, g.mul(e, gp.Q))
-    delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t1, t2)
-    return NeqProof(t1=t1, t2=t2, eta1=(a + 1) % gp.q, eta2=(delta * (s1 - s2) + e) % gp.q)
+    t1 = _ref_mul(gp, a, gp.P)
+    t2 = g.add(gp.P, _ref_mul(gp, e, gp.Q))
+    forged = []
+    for t in (g.add(t1, t2), t1, t2):
+        delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t)
+        forged.append(NeqProof(t=t, eta1=(a + 1) % gp.q, eta2=(delta * (s1 - s2) + e) % gp.q))
+    return forged
+
+
+def _simulated_neq(gp, c1, c2, delta, rng) -> NeqProof:
+    """A proof that meets the verification equation for a challenge chosen
+    before ``t``: ``t = eta1*(C1 - C2) + eta2*Q - delta*P``."""
+    eta1, eta2 = rng.randrange(gp.q), rng.randrange(gp.q)
+    diff = gp.backend.sub(c1.value, c2.value)
+    return NeqProof(t=_ref_sum(gp, [eta1, diff, eta2, gp.Q, -delta, gp.P]), eta1=eta1, eta2=eta2)
+
+
+def _neq_forgeries(gp, rng):
+    """``(c1, c2, proof)`` inequality proofs for commitments to one message
+    made without ``log_Q P``: the old recipe, a valid proof transplanted from
+    other commitments, and proofs simulated for a challenge chosen before
+    ``t`` (random, 0, and the hash of the statement without ``t``)."""
+    q = gp.q
+    m = rng.randrange(q)
+    m2 = (m + 1 + rng.randrange(q - 1)) % q
+    s1, s2 = rng.randrange(q), rng.randrange(q)
+    c1, c1b, c2 = commit(gp, m, s1), commit(gp, m, s2), commit(gp, m2, s2)
+    forged = [(c1, c1b, proof) for proof in _old_recipe_forgeries(gp, c1, c1b, s1, s2, rng)]
+    valid = prove_neq(gp, c1, c2, Opening(m, s1), Opening(m2, s2), rng)
+    forged += [(c1, c1b, valid), (c1b, c1, valid), (c1, c1, valid)]
+    for delta in (rng.randrange(q), 0, _challenge(gp, NEQ_TAG, c1.value, c1b.value)):
+        forged.append((c1, c1b, _simulated_neq(gp, c1, c1b, delta, rng)))
+    return forged
+
+
+def test_neq_forgeries_rejected_secp256k1():
+    rng = random.Random(31)
+    for _ in range(2):
+        for c1, c2, proof in _neq_forgeries(SECP, rng):
+            assert not verify_neq(SECP, c1, c2, proof), proof
+
+
+def test_neq_forgeries_rejected_toy():
+    """On toy each forgery meets the verification equation by chance, with
+    probability about 1/509 (2/509 for the old recipe's ``t1 + t2``: it also
+    passes when its challenge is ``-(a + 1)``); the former verifier accepted
+    every old-recipe forgery."""
+    rng = random.Random(31)
+    trials = 100
+    accepted = sum(verify_neq(TOY, c1, c2, proof)
+                   for _ in range(trials) for c1, c2, proof in _neq_forgeries(TOY, rng))
+    # 900 forgeries, Poisson(lambda ~ 2): [0, 9] covers > 99.99 % of the mass
+    assert accepted <= 9
+
+
+def test_toy_neq_forgery_needs_log_q_p():
+    """Soundness rests on nobody knowing ``log_Q P``: whoever knows it can
+    prove inequality for commitments to one message, as ``P = a*D + b*Q``
+    with ``D = (s1 - s2)*Q`` and ``b = log_Q P - a*(s1 - s2)``.  On toy that
+    log is a table lookup, so toy soundness is not testable; no exhaustive
+    "no proof verifies" check can hold for a Sigma-protocol either, since a
+    simulated proof for the right challenge always verifies."""
+    g, q = TOY.backend, TOY.q
+    log_q_p = next(k for k in range(q) if g.mul(k, TOY.Q) == TOY.P)
+    s1, s2 = 11, 222
+    c1, c2 = commit(TOY, 8, s1), commit(TOY, 8, s2)
+    a = 5
+    t, (eta1, eta2) = _prove(TOY, NEQ_TAG, c1, c2, (a, log_q_p - a * (s1 - s2)), random.Random(7))
+    assert verify_neq(TOY, c1, c2, NeqProof(t=t, eta1=eta1, eta2=eta2))
 
 
 def _verdict_cases(gp, rng):
     """``(verify, reference, c1, c2, proof)`` for honest, tampered, swapped,
-    identity, ``C1 == C2`` and forged proofs."""
+    identity, ``C1 == C2``, forged, transplanted and simulated proofs."""
     g, q = gp.backend, gp.q
     m = rng.randrange(q)
     m2 = (m + 1 + rng.randrange(q - 1)) % q
@@ -547,18 +573,16 @@ def _verdict_cases(gp, rng):
     ]
     neqs = [
         (c1, c2, neq),
-        (c1, c2, NeqProof(neq.t1, neq.t2, (neq.eta1 + 1) % q, neq.eta2)),
-        (c1, c2, NeqProof(neq.t1, neq.t2, neq.eta1, (neq.eta2 + 1) % q)),
-        (c1, c2, NeqProof(g.add(neq.t1, gp.P), neq.t2, neq.eta1, neq.eta2)),
-        (c1, c2, NeqProof(neq.t1, g.add(neq.t2, gp.P), neq.eta1, neq.eta2)),
-        (c1, c2, NeqProof(ident, neq.t2, neq.eta1, neq.eta2)),
-        (c1, c2, NeqProof(neq.t1, ident, neq.eta1, neq.eta2)),
-        (c1, c2, NeqProof(ident, ident, neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(neq.t, (neq.eta1 + 1) % q, neq.eta2)),
+        (c1, c2, NeqProof(neq.t, neq.eta1, (neq.eta2 + 1) % q)),
+        (c1, c2, NeqProof(neq.t, neq.eta2, neq.eta1)),
+        (c1, c2, NeqProof(g.add(neq.t, gp.P), neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(ident, neq.eta1, neq.eta2)),
         (moved(c1), c2, neq),
         (c1, moved(c2), neq),
         (c2, c1, neq),
         (c1, c1, neq),
-        (c1, c1b, _forged_neq(gp, c1, c1b, s1, s2, rng)),
+        *_neq_forgeries(gp, rng),
     ]
     return ([(verify_eq, _ref_verify_eq, *case) for case in eqs]
             + [(verify_neq, _ref_verify_neq, *case) for case in neqs])
