@@ -25,9 +25,11 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from . import CodedError
 from .crypto import (
     CryptoError,
     EqProof,
+    NeqProof,
     Opening,
     commit,
     deserialize_commitment,
@@ -62,8 +64,11 @@ _PARAM_KEYS = ("w", "c", "ch", "d", "t", "b")
 _GROUPS = ("toy", "secp256k1")
 
 
-class ConfigError(Exception):
-    """Malformed configuration input."""
+class ConfigError(CodedError):
+    """Malformed configuration input (code ``invalid-config``)."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__("invalid-config", message)
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +279,11 @@ def cmd_batch(args) -> int:
         raise ConfigError("batch config must hold a non-empty list of scenarios")
     results, failed = [], 0
     for idx, entry in enumerate(entries):
-        scenario = _scenario_from_dict(entry)
         try:
-            report = _run_one(scenario, args.group)
+            report = _run_one(_scenario_from_dict(entry), args.group)
             del report["transcript"]
             results.append(report)
-        except ScenarioError as exc:
+        except (ConfigError, ScenarioError) as exc:
             failed += 1
             results.append({"scenario_index": idx, "error": exc.code, "detail": str(exc)})
     _emit({"count": len(entries), "failures": failed, "ok": failed == 0, "results": results},
@@ -372,10 +376,11 @@ def _selftest_group(group_id: str) -> dict:
         if not verify_neq(gp, c1, c2, neq):
             completeness_failures += 1
 
-    forgery_trials = 2000 if group_id == "toy" else 150
+    eq_trials, neq_trials = (2000, 1000) if group_id == "toy" else (150, 50)
+    forgery_trials = eq_trials + neq_trials
     accepts = 0
     backend = gp.backend
-    for i in range(forgery_trials):
+    for i in range(eq_trials):
         c1 = commit(gp, 1, rng.randrange(gp.q))
         c2 = commit(gp, 2, rng.randrange(gp.q))
         forged = EqProof(
@@ -383,6 +388,17 @@ def _selftest_group(group_id: str) -> dict:
             eta=rng.randrange(gp.q),
         )
         if verify_eq(gp, c1, c2, forged):
+            accepts += 1
+    # inequality proofs for two commitments to one message, simulated for a
+    # challenge drawn before ``t`` (random, or 0 on every other trial):
+    # t = eta1*(C1 - C2) + eta2*Q - delta*P
+    for i in range(neq_trials):
+        c1 = commit(gp, 1, rng.randrange(gp.q))
+        c2 = commit(gp, 1, rng.randrange(gp.q))
+        eta1, eta2 = rng.randrange(gp.q), rng.randrange(gp.q)
+        delta = rng.randrange(gp.q) if i % 2 else 0
+        t = backend.mul(eta1, backend.sub(c1.value, c2.value), eta2, gp.Q, -delta, gp.P)
+        if verify_neq(gp, c1, c2, NeqProof(t=t, eta1=eta1, eta2=eta2)):
             accepts += 1
     # the tiny group has ~1/509 per-trial false-accept odds; the big group
     # must never accept a forgery

@@ -15,10 +15,17 @@ Three contracts cooperate on one ledger:
   the correct result out of band and be made whole if the report checks out;
   the reporter stakes the arbiter fee ``ch``.
 
-Every transition logs a clause-tagged record (the clause catalog is
-documented in the README), moves money only through the contract's escrow
-account, and either completes or raises ``ContractError`` with a stable
-error code -- contracts never reach undefined states.
+Every contract goes through one shared escrow path (``_Escrow``):
+``_open`` escrows the creator's funds, registers the timer and logs the
+``create`` record; ``_enter`` logs a transition that moves no money out;
+``_settle`` is the single writer of settlements -- it pays each
+``(recipient, amount)`` out of escrow under the tag
+``"<contract>/<verb>/<clause>"``, enters the next state and logs the one
+``"<contract>/<verb>"`` record carrying the clause.  The clause catalog (one
+row per ``_settle`` call) is in the README.  Money leaves an escrow only
+through ``_pay``, and every call either completes or raises
+``ContractError`` with a stable error code -- contracts never reach
+undefined states.
 
 State machines (terminal states marked *):
 
@@ -86,12 +93,61 @@ class DisputeRecord:
 
 
 # ---------------------------------------------------------------------------
+# Shared escrow transitions
+# ---------------------------------------------------------------------------
+
+
+class _Escrow:
+    """The one transition path of the three contracts: dataclasses with
+    ``ledger``, ``account`` and ``state`` fields, an ``on_timer`` method and a
+    ``_kind`` that prefixes every tag."""
+
+    def _open(self, payer: AccountId, amount: Money, **detail):
+        """Escrow ``amount`` from ``payer``, register the timer, log ``create``."""
+        self.ledger.transfer(payer, self.account, amount, tag=f"{self._kind}/create/escrow")
+        self.ledger.register_timer(self.on_timer)
+        self.ledger.record(f"{self._kind}/create", actor=payer, contract=self.account.id,
+                           **detail, state=self.state.value)
+        return self
+
+    def _require(self, verb: str, *states) -> None:
+        if self.state not in states:
+            raise ContractError("wrong-state", f"{verb} in {self.state.value}")
+
+    def _enter(self, verb: str, actor: AccountId, state) -> None:
+        """Enter ``state`` after a call that moves no money out of escrow."""
+        self.state = state
+        self.ledger.record(f"{self._kind}/{verb}", actor=actor, contract=self.account.id,
+                           state=state.value)
+
+    def _pay(self, verb: str, clause: str, payouts) -> None:
+        tag = f"{self._kind}/{verb}/{clause}"
+        for recipient, amount in payouts:
+            self.ledger.transfer(self.account, recipient, amount, tag=tag)
+
+    def _settle(self, verb: str, clause: str, state, payouts=(),
+                actor: Optional[AccountId] = None, **detail) -> None:
+        """Pay ``payouts`` out of escrow under ``clause``, enter ``state``, log it.
+
+        ``actor`` is the caller; ``None`` marks a timer firing.
+        """
+        self._pay(verb, clause, payouts)
+        self.state = state
+        if actor is None:
+            self.ledger.record(f"{self._kind}/{verb}", contract=self.account.id,
+                               clause=clause, state=state.value)
+        else:
+            self.ledger.record(f"{self._kind}/{verb}", actor=actor, clause=clause,
+                               contract=self.account.id, state=state.value, **detail)
+
+
+# ---------------------------------------------------------------------------
 # Prisoner's contract
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class PrisonersContract:
+class PrisonersContract(_Escrow):
     ledger: Ledger
     gp: GroupParams
     account: AccountId
@@ -111,6 +167,8 @@ class PrisonersContract:
     dispute_record: Optional[DisputeRecord] = None
     traitor_contract: Optional["TraitorsContract"] = None
 
+    _kind = "prisoners"
+
     @classmethod
     def create(
         cls,
@@ -129,22 +187,15 @@ class PrisonersContract:
     ) -> "PrisonersContract":
         if not ledger.clock < T1 < T2 < T3:
             raise ContractError("bad-deadlines", f"need now < T1 < T2 < T3, got {ledger.clock},{T1},{T2},{T3}")
-        account = ledger.fresh_account("prisoners")
-        ledger.transfer(client, account, 2 * w + ch, tag="prisoners/create/escrow")
-        contract = cls(
-            ledger=ledger, gp=gp, account=account, client=client, ttp=ttp,
-            com_f=com_f, com_x=com_x, w=w, d=d, ch=ch, T1=T1, T2=T2, T3=T3,
-        )
-        ledger.register_timer(contract.on_timer)
-        ledger.record("prisoners/create", actor=client, contract=account.id,
-                      state=contract.state.value)
-        return contract
+        return cls(
+            ledger=ledger, gp=gp, account=ledger.fresh_account(cls._kind), client=client,
+            ttp=ttp, com_f=com_f, com_x=com_x, w=w, d=d, ch=ch, T1=T1, T2=T2, T3=T3,
+        )._open(client, 2 * w + ch)
 
     # -- worker entry ---------------------------------------------------------
 
     def bid(self, cloud: AccountId) -> None:
-        if self.state is not PCState.CREATED:
-            raise ContractError("wrong-state", f"bid in {self.state.value}")
+        self._require("bid", PCState.CREATED)
         if self.ledger.clock >= self.T1:
             raise ContractError("deadline-passed", "bidding closed")
         if cloud in (self.client, self.ttp) or cloud.kind != "external":
@@ -153,14 +204,10 @@ class PrisonersContract:
             raise ContractError("double-bid", cloud.id)
         self.ledger.transfer(cloud, self.account, self.d, tag="prisoners/bid/deposit")
         self.workers.append(cloud)
-        if len(self.workers) == 2:
-            self.state = PCState.COMPUTE
-        self.ledger.record("prisoners/bid", actor=cloud, contract=self.account.id,
-                           state=self.state.value)
+        self._enter("bid", cloud, PCState.COMPUTE if len(self.workers) == 2 else self.state)
 
     def deliver(self, cloud: AccountId, com_y: Commitment) -> None:
-        if self.state is not PCState.COMPUTE:
-            raise ContractError("wrong-state", f"deliver in {self.state.value}")
+        self._require("deliver", PCState.COMPUTE)
         if self.ledger.clock >= self.T2:
             raise ContractError("deadline-passed", "delivery closed")
         if cloud not in self.workers:
@@ -168,10 +215,7 @@ class PrisonersContract:
         if cloud in self.delivered:
             raise ContractError("double-deliver", cloud.id)
         self.delivered[cloud] = com_y
-        if len(self.delivered) == 2:
-            self.state = PCState.PAY
-        self.ledger.record("prisoners/deliver", actor=cloud, contract=self.account.id,
-                           state=self.state.value)
+        self._enter("deliver", cloud, PCState.PAY if len(self.delivered) == 2 else self.state)
 
     # -- settlement -----------------------------------------------------------
 
@@ -187,31 +231,19 @@ class PrisonersContract:
         """
         if caller != self.client:
             raise ContractError("not-client", caller.id)
-        if self.state is not PCState.PAY:
-            raise ContractError("wrong-state", f"pay in {self.state.value}")
+        self._require("pay", PCState.PAY)
         if self.ledger.clock >= self.T3:
             raise ContractError("too-late", "arbitration window closed")
-        n = len(self.delivered)
-        if n == 0:
+        if not self.delivered:
             refund = 2 * self.w + self.ch + self.d * len(self.workers)
-            self.ledger.transfer(self.account, self.client, refund, tag="prisoners/pay/8a")
-            self.state = PCState.DONE
-            self.ledger.record("prisoners/pay", actor=caller, clause="8a",
-                               contract=self.account.id, state=self.state.value)
-            return
-        if n == 2 and isinstance(eq_proof, EqProof):
-            c1, c2 = (self.delivered[wk] for wk in self.workers)
-            if verify_eq(self.gp, c1, c2, eq_proof):
-                for wk in self.workers:
-                    self.ledger.transfer(self.account, wk, self.w + self.d, tag="prisoners/pay/8b")
-                self.ledger.transfer(self.account, self.client, self.ch, tag="prisoners/pay/8b")
-                self.state = PCState.DONE
-                self.ledger.record("prisoners/pay", actor=caller, clause="8b",
-                                   contract=self.account.id, state=self.state.value)
-                return
-        self.state = PCState.ERROR
-        self.ledger.record("prisoners/pay", actor=caller, clause="error",
-                           contract=self.account.id, state=self.state.value)
+            clause, state, payouts = "8a", PCState.DONE, [(self.client, refund)]
+        elif (len(self.delivered) == 2 and isinstance(eq_proof, EqProof)
+              and verify_eq(self.gp, *(self.delivered[wk] for wk in self.workers), eq_proof)):
+            clause, state = "8b", PCState.DONE
+            payouts = [(wk, self.w + self.d) for wk in self.workers] + [(self.client, self.ch)]
+        else:
+            clause, state, payouts = "error", PCState.ERROR, ()
+        self._settle("pay", clause, state, payouts, caller)
 
     def dispute(
         self,
@@ -231,8 +263,7 @@ class PrisonersContract:
         """
         if caller != self.ttp:
             raise ContractError("not-ttp", caller.id)
-        if self.state not in (PCState.PAY, PCState.ERROR):
-            raise ContractError("wrong-state", f"dispute in {self.state.value}")
+        self._require("dispute", PCState.PAY, PCState.ERROR)
         if self.ledger.clock >= self.T3:
             raise ContractError("too-late", "arbitration window closed")
         cheated: dict[AccountId, bool] = {}
@@ -252,25 +283,19 @@ class PrisonersContract:
                 cheated[worker] = True
             else:
                 raise ContractError("ttp-proof-invalid", "unrecognized proof object")
-        self.ledger.transfer(self.account, self.ttp, self.ch, tag="prisoners/dispute/9")
+        self._pay("dispute", "9", ((self.ttp, self.ch),))
         guilty = [wk for wk in self.workers if cheated[wk]]
         if len(guilty) == 0:
-            clause = "10a"
-            for wk in self.workers:
-                self.ledger.transfer(self.account, wk, self.w + self.d, tag="prisoners/dispute/10a")
+            clause, payouts = "10a", [(wk, self.w + self.d) for wk in self.workers]
         elif len(guilty) == 2:
-            clause = "10b"
-            self.ledger.transfer(self.account, self.client, 2 * (self.w + self.d), tag="prisoners/dispute/10b")
+            clause, payouts = "10b", [(self.client, 2 * (self.w + self.d))]
         else:
-            clause = "10c"
             honest = next(wk for wk in self.workers if not cheated[wk])
-            self.ledger.transfer(self.account, honest, self.w + 2 * self.d - self.ch, tag="prisoners/dispute/10c")
-            self.ledger.transfer(self.account, self.client, self.w + self.ch, tag="prisoners/dispute/10c")
+            clause, payouts = "10c", [(honest, self.w + 2 * self.d - self.ch),
+                                      (self.client, self.w + self.ch)]
         self.dispute_record = DisputeRecord(com_yt=com_yt, cheated=cheated)
-        self.state = PCState.DONE
-        self.ledger.record("prisoners/dispute", actor=caller, clause=clause,
-                           contract=self.account.id, state=self.state.value,
-                           cheated=[wk.id for wk in guilty])
+        self._settle("dispute", clause, PCState.DONE, payouts, caller,
+                     cheated=[wk.id for wk in guilty])
 
     # -- timers -----------------------------------------------------------------
 
@@ -278,32 +303,20 @@ class PrisonersContract:
         now = self.ledger.clock
         if self.state is PCState.CREATED and now >= self.T1:
             # not enough bids in time: full refunds
-            self.ledger.transfer(self.account, self.client, 2 * self.w + self.ch,
-                                 tag="prisoners/timer/abort")
-            for wk in self.workers:
-                self.ledger.transfer(self.account, wk, self.d, tag="prisoners/timer/abort")
-            self.state = PCState.ABORTED
-            self.ledger.record("prisoners/timer", contract=self.account.id,
-                               clause="abort", state=self.state.value)
-            return True
-        if self.state is PCState.COMPUTE and now >= self.T2:
-            self.state = PCState.PAY
-            self.ledger.record("prisoners/timer", contract=self.account.id,
-                               clause="to-pay", state=self.state.value)
-            return True
-        if self.state in (PCState.PAY, PCState.ERROR) and now >= self.T3:
+            clause, state = "abort", PCState.ABORTED
+            payouts = [(self.client, 2 * self.w + self.ch)] + [(wk, self.d) for wk in self.workers]
+        elif self.state is PCState.COMPUTE and now >= self.T2:
+            clause, state, payouts = "to-pay", PCState.PAY, ()
+        elif self.state in (PCState.PAY, PCState.ERROR) and now >= self.T3:
             # clause 11: lazy client -- deliverers are paid, residue refunded
-            for wk in self.workers:
-                if wk in self.delivered:
-                    self.ledger.transfer(self.account, wk, self.w + self.d,
-                                         tag="prisoners/timer/11")
-            residue = self.ledger.balance(self.account)
-            self.ledger.transfer(self.account, self.client, residue, tag="prisoners/timer/11")
-            self.state = PCState.DONE
-            self.ledger.record("prisoners/timer", contract=self.account.id,
-                               clause="11", state=self.state.value)
-            return True
-        return False
+            clause, state = "11", PCState.DONE
+            payouts = [(wk, self.w + self.d) for wk in self.workers if wk in self.delivered]
+            residue = self.ledger.balance(self.account) - (self.w + self.d) * len(payouts)
+            payouts.append((self.client, residue))
+        else:
+            return False
+        self._settle("timer", clause, state, payouts)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +325,7 @@ class PrisonersContract:
 
 
 @dataclass
-class ColludersContract:
+class ColludersContract(_Escrow):
     ledger: Ledger
     ctp: PrisonersContract
     account: AccountId
@@ -324,6 +337,8 @@ class ColludersContract:
     T5: int
     com_r: dict[AccountId, Commitment]
     state: CCState = CCState.CREATED
+
+    _kind = "colluders"
 
     @classmethod
     def create(
@@ -345,29 +360,20 @@ class ColludersContract:
             raise ContractError("wrong-state", "outsourcing contract not in COMPUTE")
         if creator not in ctp.workers or other not in ctp.workers or creator == other:
             raise ContractError("not-a-worker", "colluders must be the two workers")
-        account = ledger.fresh_account("colluders")
-        ledger.transfer(creator, account, t + b, tag="colluders/create/escrow")
-        contract = cls(
-            ledger=ledger, ctp=ctp, account=account, creator=creator, other=other,
-            t=t, b=b, T4=T4, T5=T5,
+        return cls(
+            ledger=ledger, ctp=ctp, account=ledger.fresh_account(cls._kind), creator=creator,
+            other=other, t=t, b=b, T4=T4, T5=T5,
             com_r={creator: com_r_creator, other: com_r_other},
-        )
-        ledger.register_timer(contract.on_timer)
-        ledger.record("colluders/create", actor=creator, contract=account.id,
-                      state=contract.state.value)
-        return contract
+        )._open(creator, t + b)
 
     def join(self, caller: AccountId) -> None:
-        if self.state is not CCState.CREATED:
-            raise ContractError("wrong-state", f"join in {self.state.value}")
+        self._require("join", CCState.CREATED)
         if caller != self.other:
             raise ContractError("not-a-worker", caller.id)
         if self.ledger.clock >= self.T4:
             raise ContractError("deadline-passed", "joining closed")
         self.ledger.transfer(caller, self.account, self.t, tag="colluders/join/deposit")
-        self.state = CCState.COLLUDED
-        self.ledger.record("colluders/join", actor=caller, contract=self.account.id,
-                           state=self.state.value)
+        self._enter("join", caller, CCState.COLLUDED)
 
     def enforce(self, caller: AccountId) -> None:
         """Clause 5: reward conformance with the agreed wrong-result commitments.
@@ -381,40 +387,26 @@ class ColludersContract:
         """
         if caller not in (self.creator, self.other):
             raise ContractError("not-a-worker", caller.id)
-        if self.state is not CCState.COLLUDED:
-            raise ContractError("wrong-state", f"enforce in {self.state.value}")
+        self._require("enforce", CCState.COLLUDED)
         if self.ledger.clock < self.T5 or self.ctp.state is not PCState.DONE:
             raise ContractError("enforce-before-settlement",
                                 "outsourcing contract not yet settled")
-        conforming = {
-            party: self.ctp.delivered.get(party) == self.com_r[party]
-            for party in (self.creator, self.other)
-        }
-        if conforming[self.creator] and conforming[self.other]:
-            clause = "5a"
-            self.ledger.transfer(self.account, self.creator, self.t, tag="colluders/enforce/5a")
-            self.ledger.transfer(self.account, self.other, self.t + self.b, tag="colluders/enforce/5a")
-        elif conforming[self.creator]:
-            clause = "5b"
-            self.ledger.transfer(self.account, self.creator, 2 * self.t + self.b, tag="colluders/enforce/5b")
-        elif conforming[self.other]:
-            clause = "5c"
-            self.ledger.transfer(self.account, self.other, 2 * self.t + self.b, tag="colluders/enforce/5c")
+        delivered, t, b = self.ctp.delivered, self.t, self.b
+        creator_conformed = delivered.get(self.creator) == self.com_r[self.creator]
+        other_conformed = delivered.get(self.other) == self.com_r[self.other]
+        if creator_conformed and other_conformed:
+            clause, payouts = "5a", ((self.creator, t), (self.other, t + b))
+        elif creator_conformed:
+            clause, payouts = "5b", ((self.creator, 2 * t + b),)
+        elif other_conformed:
+            clause, payouts = "5c", ((self.other, 2 * t + b),)
         else:
-            clause = "5d"
-            self.ledger.transfer(self.account, self.creator, self.t + self.b, tag="colluders/enforce/5d")
-            self.ledger.transfer(self.account, self.other, self.t, tag="colluders/enforce/5d")
-        self.state = CCState.DONE
-        self.ledger.record("colluders/enforce", actor=caller, clause=clause,
-                           contract=self.account.id, state=self.state.value)
+            clause, payouts = "5d", ((self.creator, t + b), (self.other, t))
+        self._settle("enforce", clause, CCState.DONE, payouts, caller)
 
     def on_timer(self) -> bool:
         if self.state is CCState.CREATED and self.ledger.clock >= self.T4:
-            self.ledger.transfer(self.account, self.creator, self.t + self.b,
-                                 tag="colluders/timer/abort")
-            self.state = CCState.ABORTED
-            self.ledger.record("colluders/timer", contract=self.account.id,
-                               clause="abort", state=self.state.value)
+            self._settle("timer", "abort", CCState.ABORTED, ((self.creator, self.t + self.b),))
             return True
         return False
 
@@ -425,7 +417,7 @@ class ColludersContract:
 
 
 @dataclass
-class TraitorsContract:
+class TraitorsContract(_Escrow):
     ledger: Ledger
     ctp: PrisonersContract
     ctc: ColludersContract
@@ -434,6 +426,8 @@ class TraitorsContract:
     traitor: AccountId
     com_yprime: Optional[Commitment] = None
     state: TCState = TCState.CREATED
+
+    _kind = "traitors"
 
     @classmethod
     def create(
@@ -455,20 +449,14 @@ class TraitorsContract:
             raise ContractError("not-a-worker", traitor.id)
         if ledger.clock >= ctp.T2:
             raise ContractError("deadline-passed", "reporting closed")
-        account = ledger.fresh_account("traitors")
-        stake = ctp.w + 2 * ctp.d - ctp.ch
-        ledger.transfer(client, account, stake, tag="traitors/create/escrow")
-        contract = cls(ledger=ledger, ctp=ctp, ctc=ctc, account=account,
+        contract = cls(ledger=ledger, ctp=ctp, ctc=ctc, account=ledger.fresh_account(cls._kind),
                        client=client, traitor=traitor)
-        ctp.traitor_contract = contract
-        ledger.register_timer(contract.on_timer)
-        ledger.record("traitors/create", actor=client, contract=account.id,
-                      traitor=traitor.id, state=contract.state.value)
+        ctp.traitor_contract = contract._open(client, ctp.w + 2 * ctp.d - ctp.ch,
+                                              traitor=traitor.id)
         return contract
 
     def join(self, caller: AccountId) -> None:
-        if self.state is not TCState.CREATED:
-            raise ContractError("wrong-state", f"join in {self.state.value}")
+        self._require("join", TCState.CREATED)
         if caller != self.traitor:
             raise ContractError("not-a-worker", caller.id)
         if self.ledger.clock >= self.ctp.T2:
@@ -476,21 +464,16 @@ class TraitorsContract:
         if self.ctp.state is not PCState.COMPUTE:
             raise ContractError("wrong-state", "outsourcing contract not in COMPUTE")
         self.ledger.transfer(caller, self.account, self.ctp.ch, tag="traitors/join/stake")
-        self.state = TCState.JOINED
-        self.ledger.record("traitors/join", actor=caller, contract=self.account.id,
-                           state=self.state.value)
+        self._enter("join", caller, TCState.JOINED)
 
     def deliver(self, caller: AccountId, com_yprime: Commitment) -> None:
-        if self.state is not TCState.JOINED:
-            raise ContractError("wrong-state", f"deliver in {self.state.value}")
+        self._require("deliver", TCState.JOINED)
         if caller != self.traitor:
             raise ContractError("not-a-worker", caller.id)
         if self.ledger.clock >= self.ctp.T2:
             raise ContractError("deadline-passed", "delivery closed")
         self.com_yprime = com_yprime
-        self.state = TCState.COMPUTED
-        self.ledger.record("traitors/deliver", actor=caller, contract=self.account.id,
-                           state=self.state.value)
+        self._enter("deliver", caller, TCState.COMPUTED)
 
     def check(self, caller: AccountId, eq_proof: Optional[EqProof]) -> None:
         """Clause 8: settle the report against the arbitration verdict.
@@ -510,60 +493,36 @@ class TraitorsContract:
         """
         if caller != self.client:
             raise ContractError("not-client", caller.id)
-        if self.state is not TCState.COMPUTED:
-            raise ContractError("wrong-state", f"check in {self.state.value}")
+        self._require("check", TCState.COMPUTED)
         if self.ctp.state is not PCState.DONE or self.ctp.dispute_record is None:
             raise ContractError("wrong-state", "no arbitration verdict to check against")
         record = self.ctp.dispute_record
         other = next(wk for wk in self.ctp.workers if wk != self.traitor)
-        correct = (
-            eq_proof is not None
-            and self.com_yprime is not None
-            and verify_eq(self.ctp.gp, self.com_yprime, record.com_yt, eq_proof)
-        )
+        correct = (eq_proof is not None and self.com_yprime is not None
+                   and verify_eq(self.ctp.gp, self.com_yprime, record.com_yt, eq_proof))
         w, d, ch = self.ctp.w, self.ctp.d, self.ctp.ch
         if not record.cheated[self.traitor] and not record.cheated[other]:
-            clause = "8a"
-            self.ledger.transfer(self.account, self.client, w + 2 * d, tag="traitors/check/8a")
+            clause, payouts = "8a", ((self.client, w + 2 * d),)
         elif record.cheated[self.traitor] and not record.cheated[other] and correct:
-            clause = "8b"
-            self.ledger.transfer(self.account, self.traitor, w + ch, tag="traitors/check/8b")
-            self.ledger.transfer(self.account, self.client, 2 * d - ch, tag="traitors/check/8b")
+            clause, payouts = "8b", ((self.traitor, w + ch), (self.client, 2 * d - ch))
         elif record.cheated[self.traitor] and record.cheated[other] and correct:
-            clause = "8c"
-            self.ledger.transfer(self.account, self.traitor, w + 2 * d, tag="traitors/check/8c")
+            clause, payouts = "8c", ((self.traitor, w + 2 * d),)
         else:
-            clause = "8d"
-            self.ledger.transfer(self.account, self.client, w + 2 * d - ch, tag="traitors/check/8d")
-            self.ledger.transfer(self.account, self.traitor, ch, tag="traitors/check/8d")
-        self.state = TCState.DONE
-        self.ledger.record("traitors/check", actor=caller, clause=clause,
-                           contract=self.account.id, state=self.state.value)
+            clause, payouts = "8d", ((self.client, w + 2 * d - ch), (self.traitor, ch))
+        self._settle("check", clause, TCState.DONE, payouts, caller)
 
     def on_timer(self) -> bool:
         now = self.ledger.clock
         w, d, ch = self.ctp.w, self.ctp.d, self.ctp.ch
         if self.state is TCState.CREATED and now >= self.ctp.T2:
-            self.ledger.transfer(self.account, self.client, w + 2 * d - ch,
-                                 tag="traitors/timer/abort")
-            self.state = TCState.ABORTED
-            self.ledger.record("traitors/timer", contract=self.account.id,
-                               clause="abort", state=self.state.value)
-            return True
-        if self.state is TCState.JOINED and now >= self.ctp.T2:
+            clause, state, payouts = "abort", TCState.ABORTED, ((self.client, w + 2 * d - ch),)
+        elif self.state is TCState.JOINED and now >= self.ctp.T2:
             # reporter never committed a side result: stake forfeited
-            self.ledger.transfer(self.account, self.client, w + 2 * d,
-                                 tag="traitors/timer/no-deliver")
-            self.state = TCState.DONE
-            self.ledger.record("traitors/timer", contract=self.account.id,
-                               clause="no-deliver", state=self.state.value)
-            return True
-        if self.state is TCState.COMPUTED and now >= self.ctp.T3:
+            clause, state, payouts = "no-deliver", TCState.DONE, ((self.client, w + 2 * d),)
+        elif self.state is TCState.COMPUTED and now >= self.ctp.T3:
             # client never checked: the whole escrow goes to the reporter
-            self.ledger.transfer(self.account, self.traitor, w + 2 * d,
-                                 tag="traitors/timer/no-check")
-            self.state = TCState.DONE
-            self.ledger.record("traitors/timer", contract=self.account.id,
-                               clause="no-check", state=self.state.value)
-            return True
-        return False
+            clause, state, payouts = "no-check", TCState.DONE, ((self.traitor, w + 2 * d),)
+        else:
+            return False
+        self._settle("timer", clause, state, payouts)
+        return True

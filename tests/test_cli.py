@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from countercollusion import cli
 from countercollusion.cli import main
 
 
@@ -310,6 +311,16 @@ def test_crypto_selftest_toy(capsys):
     }
 
 
+@pytest.mark.parametrize("group", ["toy", "secp256k1"])
+def test_crypto_selftest_fails_on_an_accept_all_inequality_verifier(capsys, monkeypatch, group):
+    monkeypatch.setattr(cli, "verify_neq", lambda gp, c1, c2, proof: True)
+    code, report, _ = run_cli(capsys, "crypto-selftest", "--group", group)
+    assert code == 4
+    (entry,) = report["groups"]
+    assert entry["completeness_failures"] == 0
+    assert entry["forgery_accepts"] > entry["forgery_accept_bound"]
+
+
 def test_crypto_selftest_both_groups(capsys):
     code, report, _ = run_cli(capsys, "crypto-selftest")
     assert code == 0
@@ -388,6 +399,32 @@ def test_batch_rejects_empty_list(capsys, tmp_path):
     assert "non-empty" in err
 
 
+@pytest.mark.parametrize("top", ['{"scenarios": 5}', '"x"', '{"scenarios": [], "x": 1}'])
+def test_batch_rejects_a_malformed_top_level(capsys, tmp_path, top):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(top)
+    code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: ")
+
+
+def test_batch_keeps_valid_results_past_a_malformed_entry(capsys, tmp_path):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([{}, {"seed": "x"}, 7]))
+    code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
+    assert code == 3
+    assert err == ""
+    assert report["count"] == 3
+    assert report["failures"] == 2
+    assert report["results"][0]["terminal_label"] == "G1:v4"
+    assert report["results"][1:] == [
+        {"scenario_index": 1, "error": "invalid-config", "detail": "seed must be an integer"},
+        {"scenario_index": 2, "error": "invalid-config",
+         "detail": "scenario config must be an object"},
+    ]
+
+
 # ---------------------------------------------------------------------------
 # hostile scenario configs
 # ---------------------------------------------------------------------------
@@ -443,3 +480,17 @@ def test_hostile_run_config_exits_with_a_documented_code(capsys, tmp_path, scena
     code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--group", "toy")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scenarios=st.lists(_SCENARIO, min_size=1, max_size=3))
+def test_hostile_batch_config_exits_with_a_documented_code(capsys, tmp_path, scenarios):
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps(scenarios))
+    code, report, err = run_cli(capsys, "batch", "--config", str(cfg), "--group", "toy")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code in (0, 3):
+        assert report["count"] == len(report["results"]) == len(scenarios)
+        assert report["failures"] == sum("error" in entry for entry in report["results"])
