@@ -397,7 +397,7 @@ def _selftest_group(group_id: str) -> dict:
         c2 = commit(gp, 1, rng.randrange(gp.q))
         eta1, eta2 = rng.randrange(gp.q), rng.randrange(gp.q)
         delta = rng.randrange(gp.q) if i % 2 else 0
-        t = backend.mul(eta1, backend.sub(c1.value, c2.value), eta2, gp.Q, -delta, gp.P)
+        t = gp.mul(eta1, backend.sub(c1.value, c2.value), eta2, gp.Q, -delta, gp.P)
         if verify_neq(gp, c1, c2, NeqProof(t=t, eta1=eta1, eta2=eta2)):
             accepts += 1
     # the tiny group has ~1/509 per-trial false-accept odds; the big group

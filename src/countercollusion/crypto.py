@@ -10,16 +10,22 @@ Two interchangeable backends share one additive-notation interface:
 * ``secp256k1`` -- the 256-bit curve, pure-Python Jacobian arithmetic.
 
 ``mul(k, a, k2, a2, ...)`` returns ``k*a + k2*a2 + ...`` in one call: on toy
-a product of ``pow``s, on secp256k1 one interleaved width-5 NAF pass whose
-terms share their doublings, with one field inversion per call.  The
-secp256k1 pass uses the GLV endomorphism ``lambda*(x, y) = (beta*x, y)``
-(Gallant-Lambert-Vanstone, CRYPTO 2001; the constants and lattice basis are
-the standard secp256k1 ones, see Hankerson-Menezes-Vanstone, Guide to ECC,
-section 3.5): each scalar splits into two halves of at most 128 bits, so
-the shared chain is about 128 doublings instead of 256, with no extra point
-additions or inversions.  Calls per operation are the same on both groups:
-``commit`` 1, ``prove_eq`` and ``prove_neq`` 3 each (two of them re-open
-the commitments), ``verify_eq`` and ``verify_neq`` 1 each.
+a product of ``pow``s, on secp256k1 one interleaved NAF pass whose terms
+share their doublings.  The secp256k1 pass uses the GLV endomorphism
+``lambda*(x, y) = (beta*x, y)`` (Gallant-Lambert-Vanstone, CRYPTO 2001; the
+constants and lattice basis are the standard secp256k1 ones, see
+Hankerson-Menezes-Vanstone, Guide to ECC, section 3.5): each scalar splits
+into two halves of at most 128 bits, so the shared chain is about 128
+doublings instead of 256, with no extra point additions.  Each base adds
+from a row of true-affine odd multiples and its ``(beta*x, y)`` image.  For
+the generators ``P`` and ``Q`` those rows are built once, by ``setup``, at
+width 6 (16 multiples each; Guide to ECC, section 3.3) and kept in
+``GroupParams.tables``; ``GroupParams.mul`` passes them in.  Every other
+base gets width-5 rows (8 multiples) per call, made affine with one
+Montgomery batch inversion, so a call inverts at most twice.  Calls per
+operation are the same on both groups: ``commit`` 1, ``prove_eq`` and
+``prove_neq`` 3 each (two of them re-open the commitments), ``verify_eq``
+and ``verify_neq`` 1 each.
 
 Commitments are ``Com_s(m) = m*P + s*Q`` where ``P`` and ``Q`` are both
 derived by hash-to-group from a public seed (nobody knows a discrete log
@@ -41,7 +47,7 @@ every artifact is reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import CodedError
@@ -153,6 +159,18 @@ class _ToyGroup:
             counter += 1
 
 
+#: NAF width of the rows ``mul`` builds per call: digits odd in ``[-15, 15]``,
+#: 8 odd multiples per base.
+_WNAF_WIDTH = 5
+
+#: NAF width of the generator tables ``setup`` builds: 16 odd multiples per
+#: row, digits odd in ``[-31, 31]``.  Width 7 measured faster per call but
+#: doubled the build, which every ``setup`` pays.
+_FIXED_WIDTH = 6
+
+_NO_TABLES: dict = {}
+
+
 class _Secp256k1Group:
     """secp256k1 with Jacobian-coordinate arithmetic.
 
@@ -260,61 +278,75 @@ class _Secp256k1Group:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
-    def mul(self, k, a, *more):
+    def _odd_multiples(self, bases, w):
+        """``(w, row, lambda_row)`` per affine base ``a``: ``row`` holds the
+        odd multiples ``a, 3a, ..., (2^(w-1) - 1)*a`` and ``lambda_row`` their
+        images ``(beta*x, y)`` under the endomorphism, all true affine.  The
+        rows are built in Jacobian coordinates and brought to affine with one
+        Montgomery batch inversion for all bases together."""
+        p, n = self.p, 1 << (w - 2)
+        jac = []
+        for a in bases:
+            pt = self._to_jac(a)
+            twice = self._jdouble(pt)
+            jac.append(pt)
+            for _ in range(n - 1):
+                pt = self._jadd(pt, twice)
+                jac.append(pt)
+        # prefix[i] = Z_0 * ... * Z_(i-1); walking back, inv = 1/(Z_0 * ... * Z_i)
+        prefix, zs = [], 1
+        for _, _, z in jac:
+            prefix.append(zs)
+            zs = zs * z % p
+        inv, affine = pow(zs, -1, p), [None] * len(jac)
+        for i in range(len(jac) - 1, -1, -1):
+            x, y, z = jac[i]
+            zinv = prefix[i] * inv % p
+            inv = inv * z % p
+            z2 = zinv * zinv % p
+            affine[i] = (x * z2 % p, y * z2 * zinv % p)
+        rows = [affine[j:j + n] for j in range(0, len(affine), n)]
+        return [(w, row, [(_GLV_BETA * x % p, y) for x, y in row]) for row in rows]
+
+    def fixed_base_tables(self, *bases) -> dict:
+        """Width-``_FIXED_WIDTH`` rows of each base, keyed by the base, for
+        ``mul``'s ``tables``."""
+        return dict(zip(bases, self._odd_multiples(bases, _FIXED_WIDTH)))
+
+    def mul(self, k, a, *more, tables=_NO_TABLES):
         """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``, by interleaved
-        width-5 NAF (Straus) with the GLV endomorphism: all terms share one
-        chain of about 128 doublings.
+        NAF (Straus) with the GLV endomorphism: all terms share one chain of
+        about 128 doublings.
 
         Each scalar is split as ``k = k1 + k2*lambda (mod q)`` with halves of
         at most 128 bits (``_glv_split``), and ``lambda*(x, y)`` is
-        ``(beta*x, y)``, so a base contributes two digit streams: ``k1`` over
-        its table and ``k2`` over the same table with every ``x`` times
-        ``beta`` (one field multiplication per entry; it commutes with the
-        shared-denominator scaling below).  A negative half has negative
-        digits, which negate ``y``.
+        ``(beta*x, y)``, so a base contributes two width-``w`` NAF digit
+        streams: ``k1`` over its row of odd multiples and ``k2`` over the
+        same row with every ``x`` times ``beta``.  A negative half has
+        negative digits, which negate ``y``.
 
-        Each base gets a table of its odd multiples ``a, 3a, ..., 15a``.  The
-        tables are brought to one shared denominator ``zg`` with Montgomery's
-        batch-inversion products, minus the inversion itself: entry
-        ``(x, y)`` stands for the affine point ``(x/zg^2, y/zg^3)``.  Those
-        are affine points of the isomorphic curve ``y^2 = x^3 + 7*zg^6``, and
-        doubling and addition formulas never read the curve constant, so the
-        loop adds them with mixed Jacobian+affine additions.  The result's
-        ``Z`` times ``zg`` is the one field inversion of the call.
+        A base found in ``tables`` (``GroupParams.tables``: the generators
+        ``P`` and ``Q``, built once by ``setup``) reads both rows from there,
+        at width ``_FIXED_WIDTH``.  Every other base gets width-5 rows
+        ``a, 3a, ..., 15a`` built for this call and made affine with one
+        Montgomery batch inversion (``_odd_multiples``).  All rows are true
+        affine, so the loop adds them with mixed Jacobian+affine additions;
+        the result's ``Z`` is the call's only other field inversion.
         """
         p = self.p
-        rows, halves = [], []
-        for k, a in _terms(k, a, more):
-            k %= self.q
-            if k == 0 or a is None:
-                continue
-            row = [self._to_jac(a)]
-            twice = self._jdouble(row[0])
-            for _ in range(_WNAF_TABLE - 1):
-                row.append(self._jadd(row[-1], twice))
-            rows.extend(row)
-            halves.append(_glv_split(k))
-        if not halves:
+        terms = [(k % self.q, a) for k, a in _terms(k, a, more)]
+        terms = [(k, a) for k, a in terms if k and a is not None]
+        if not terms:
             return None
-        # zg = product of every entry's Z; entry i is scaled by zg / Z_i,
-        # the product of all the other Zs (prefix times suffix)
-        prefix, zg = [], 1
-        for _, _, z in rows:
-            prefix.append(zg)
-            zg = zg * z % p
-        table, suffix = [None] * len(rows), 1
-        for i in range(len(rows) - 1, -1, -1):
-            x, y, z = rows[i]
-            c = prefix[i] * suffix % p
-            c2 = c * c % p
-            table[i] = (x * c2 % p, y * c2 * c % p)
-            suffix = suffix * z % p
+        fresh = [a for _, a in terms if a not in tables]
+        rows = dict(zip(fresh, self._odd_multiples(fresh, _WNAF_WIDTH))) | tables
         # the points to add at each bit position, least significant first
         streams = []
-        for j, (k1, k2) in enumerate(halves):
-            row = table[j * _WNAF_TABLE:(j + 1) * _WNAF_TABLE]
-            streams.append((_wnaf(k1), row))
-            streams.append((_wnaf(k2), [(_GLV_BETA * x % p, y) for x, y in row]))
+        for k, a in terms:
+            w, row, lambda_row = rows[a]
+            k1, k2 = _glv_split(k)
+            streams.append((_wnaf(k1, w), row))
+            streams.append((_wnaf(k2, w), lambda_row))
         steps = [[] for _ in range(max(len(naf) for naf, _ in streams))]
         for naf, row in streams:
             for i, d in enumerate(naf):
@@ -329,10 +361,7 @@ class _Secp256k1Group:
                 acc = self._jdouble(acc)
             for x, y in pts:
                 acc = self._jmadd(acc, x, y)
-        if acc is None:
-            return None
-        X, Y, Z = acc
-        return self._to_affine((X, Y, Z * zg % p))
+        return self._to_affine(acc)
 
     def is_member(self, a) -> bool:
         if a is None:
@@ -384,22 +413,19 @@ def _terms(k, a, more) -> list:
     return [(k, a), *zip(more[::2], more[1::2], strict=True)]
 
 
-#: Width-5 NAF digits are odd and in ``[-15, 15]``: 8 table entries per base.
-_WNAF_TABLE = 8
+def _wnaf(k: int, w: int = _WNAF_WIDTH) -> list[int]:
+    """Width-``w`` non-adjacent form of ``k``, least significant digit first.
 
-
-def _wnaf(k: int) -> list[int]:
-    """Width-5 non-adjacent form of ``k``, least significant digit first.
-
-    The digits of ``-k`` are those of ``k`` negated; ``0`` has none.
+    Digits are 0 or odd in ``(-2^(w-1), 2^(w-1))``.  The digits of ``-k``
+    are those of ``k`` negated; ``0`` has none.
     """
-    digits = []
+    digits, half, mask = [], 1 << (w - 1), (1 << w) - 1
     while k:
         d = 0
         if k & 1:
-            d = k & 31
-            if d > 16:
-                d -= 32
+            d = k & mask
+            if d > half:
+                d -= mask + 1
             k -= d
         digits.append(d)
         k >>= 1
@@ -445,16 +471,29 @@ _BACKENDS = {"toy": _ToyGroup(), "secp256k1": _Secp256k1Group()}
 
 @dataclass(frozen=True)
 class GroupParams:
-    """A group together with the two commitment generators ``P`` and ``Q``."""
+    """A group together with the two commitment generators ``P`` and ``Q``.
+
+    ``tables`` holds the generators' precomputed rows for the secp256k1
+    ``mul`` (empty on toy); it is derived from ``P`` and ``Q``, so it takes
+    no part in equality.
+    """
 
     group_id: str
     q: int
     P: object
     Q: object
+    tables: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def backend(self):
         return _BACKENDS[self.group_id]
+
+    def mul(self, *terms):
+        """``k*a + k2*a2 + ...`` for ``terms = (k, a, k2, a2, ...)``, with
+        ``P`` and ``Q`` read from ``tables``."""
+        if not self.tables:
+            return self.backend.mul(*terms)
+        return self.backend.mul(*terms, tables=self.tables)
 
     @property
     def scalar_size(self) -> int:
@@ -506,19 +545,21 @@ def setup(group_id: str = "toy", seed: bytes = b"\x01") -> GroupParams:
     """Derive generators ``P`` and ``Q`` from a public seed.
 
     Both generators come from hash-to-group under distinct domain tags, so no
-    party knows the discrete log of ``Q`` base ``P`` (or vice versa).
+    party knows the discrete log of ``Q`` base ``P`` (or vice versa).  On
+    secp256k1 it also builds their ``mul`` tables, each call its own.
     """
     if group_id not in _BACKENDS:
         raise CryptoError("unknown-group", f"no backend {group_id!r}")
     backend = _BACKENDS[group_id]
     P = backend.hash_to_group(b"P", seed)
     Q = backend.hash_to_group(b"Q", seed)
-    return GroupParams(group_id=group_id, q=backend.q, P=P, Q=Q)
+    tables = backend.fixed_base_tables(P, Q) if group_id == "secp256k1" else {}
+    return GroupParams(group_id=group_id, q=backend.q, P=P, Q=Q, tables=tables)
 
 
 def commit(gp: GroupParams, m: Scalar, s: Scalar) -> Commitment:
     """``Com_s(m) = m*P + s*Q``."""
-    return Commitment(gp.backend.mul(m, gp.P, s, gp.Q))
+    return Commitment(gp.mul(m, gp.P, s, gp.Q))
 
 
 def open_commitment(gp: GroupParams, c: Commitment, o: Opening) -> bool:
@@ -566,7 +607,7 @@ def _prove(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, witness,
     ``eta_i = r_i + delta*w_i``.  Returns ``(t, [eta_i])``."""
     bases, _ = _statement(gp, tag, c1, c2)
     nonces = [rand_scalar(gp, rng) for _ in bases]
-    t = gp.backend.mul(*[x for term in zip(nonces, bases) for x in term])
+    t = gp.mul(*[x for term in zip(nonces, bases) for x in term])
     delta = _challenge(gp, tag, c1.value, c2.value, t)
     return t, [(w * delta + r) % gp.q for r, w in zip(nonces, witness)]
 
@@ -581,7 +622,7 @@ def _verify(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, t, etas
             return False
     bases, target = _statement(gp, tag, c1, c2)
     delta = _challenge(gp, tag, c1.value, c2.value, t)
-    return g.mul(*[x for term in zip(etas, bases) for x in term], -delta, target) == t
+    return gp.mul(*[x for term in zip(etas, bases) for x in term], -delta, target) == t
 
 
 def prove_eq(

@@ -42,6 +42,7 @@ from countercollusion.crypto import (
     _GLV_B2,
     _GLV_BETA,
     _GLV_LAMBDA,
+    _FIXED_WIDTH,
     _challenge,
     _glv_split,
     _prove,
@@ -372,13 +373,22 @@ def _elements(gp):
     return st.one_of(st.sampled_from(fixed), hashed)
 
 
+def _entries(gp):
+    """``mul`` without tables (every base gets per-call rows), and the tabled
+    entry ``GroupParams.mul``, where ``P`` and ``Q`` read the rows that
+    ``setup`` built."""
+    return gp.backend.mul, gp.mul
+
+
 @GROUPS
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mul_matches_double_and_add(gp, data):
     terms = data.draw(st.lists(st.tuples(_scalars(gp.q), _elements(gp)), min_size=1, max_size=3))
     flat = [x for term in terms for x in term]
-    assert gp.backend.mul(*flat) == _ref_sum(gp, flat)
+    expected = _ref_sum(gp, flat)
+    for mul in _entries(gp):
+        assert mul(*flat) == expected
 
 
 @GROUPS
@@ -386,15 +396,44 @@ def test_mul_matches_double_and_add(gp, data):
 @given(data=st.data())
 def test_mul_cancelling_and_repeated_bases(gp, data):
     """``a`` and ``-a`` in one call cancel; a repeated base sends the mixed
-    addition through its doubling and its inverse branches."""
+    addition through its doubling and its inverse branches.  Through the
+    tabled entry, ``P`` with ``-P`` cancels a pre-built row against a
+    per-call one."""
     g = gp.backend
     k = data.draw(_scalars(gp.q))
     j = data.draw(_scalars(gp.q))
     a = data.draw(_elements(gp))
-    assert g.mul(k, a, k, g.neg(a)) == g.identity
-    assert g.mul(k, a, -k, a) == g.identity
-    assert g.mul(k, a, k, a) == _ref_mul(gp, 2 * k, a)
-    assert g.mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
+    for mul in _entries(gp):
+        assert mul(k, a, k, g.neg(a)) == g.identity
+        assert mul(k, a, -k, a) == g.identity
+        assert mul(k, a, k, a) == _ref_mul(gp, 2 * k, a)
+        assert mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
+
+
+# ---------------------------------------------------------------------------
+# Generator tables built by setup()
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("which", ["P", "Q"])
+def test_generator_tables_hold_odd_multiples_and_their_lambda_images(which):
+    base = getattr(SECP, which)
+    width, row, lambda_row = SECP.tables[base]
+    assert width == _FIXED_WIDTH
+    assert len(row) == len(lambda_row) == 2 ** (width - 2)
+    for i, (entry, image) in enumerate(zip(row, lambda_row)):
+        assert entry == _ref_mul(SECP, 2 * i + 1, base)
+        assert image == _ref_mul(SECP, _GLV_LAMBDA, entry)
+
+
+def test_setup_builds_equal_tables_per_call():
+    """Two ``setup`` calls compare equal and carry equal tables, each its own;
+    toy has none."""
+    a, b = setup("secp256k1", b"\x01"), setup("secp256k1", b"\x01")
+    assert a == b and a.tables == b.tables
+    assert a.tables is not b.tables
+    assert set(a.tables) == {a.P, a.Q}
+    assert setup("toy", b"\x01").tables == {}
 
 
 # ---------------------------------------------------------------------------
