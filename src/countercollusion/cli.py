@@ -9,7 +9,8 @@ Subcommands:
 * ``crypto-selftest`` exercise the commitment and proof layer
 * ``batch``           run a list of scenarios and write one combined report
 
-Exit codes: 0 success; 2 malformed input; 3 scenario failure; 4 a
+Exit codes: 0 success; 2 malformed input (including a config nested too
+deeply or an ``--out`` path that cannot be written); 3 scenario failure; 4 a
 verification check failed.  All reports are JSON with sorted keys, so equal
 inputs produce byte-identical output.  The commitment group defaults to the
 fast toy group; select with ``--group`` or ``COUNTERCOLLUSION_GROUP``.
@@ -173,8 +174,10 @@ def _load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply") from exc
 
 
 def _params_from_args(args) -> Params:
@@ -206,8 +209,11 @@ def _json_default(obj):
 def _emit(report: dict, out: Optional[str]) -> None:
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

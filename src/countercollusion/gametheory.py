@@ -54,6 +54,7 @@ __all__ = [
     "analyze_reference",
     "payoff_crosscheck",
     "terminal_label",
+    "family_of",
     "GAME_IDS",
 ]
 
@@ -105,14 +106,12 @@ class Game:
         nodes: dict[str, Node],
         info_sets: dict[str, InfoSet],
         root: str = "v0",
-        player_roles: Optional[dict[int, str]] = None,
     ) -> None:
         self.game_id = game_id
         self.params = params
         self.nodes = nodes
         self.info_sets = info_sets
         self.root = root
-        self.player_roles = player_roles or {1: "P1", 2: "P2"}
         self.parents: dict[str, tuple[str, str]] = {}  # node -> (parent, action)
         self._validate()
 
@@ -270,7 +269,7 @@ class _Family:
 
     coalition: bool  # player 1 initiates a coalition, player 2 colludes
     report: bool  # player 2 may report the (possibly decoy) coalition
-    roles: tuple[str, str]
+    roles: tuple[str, str]  # the names of players 1 and 2
     cell: Callable[[Params, int, int, int], tuple[int, int]]
     equilibrium: tuple[str, ...]
 
@@ -293,6 +292,13 @@ _FAMILIES = {
 }
 
 GAME_IDS = tuple(_FAMILIES)
+
+
+def family_of(coalition: bool, report: bool) -> tuple[str, tuple[str, str]]:
+    """The id and the role names of the family with (or without) the
+    coalition prefix and the report layer."""
+    return next((g, f.roles) for g, f in _FAMILIES.items()
+                if f.coalition == coalition and f.report == report)
 
 
 def _layout(game_id: str):
@@ -354,7 +360,7 @@ def build_game(game_id: str, params: Params) -> Game:
     if game_id not in _FAMILIES:
         raise GameError("unknown-game", f"no game {game_id!r}")
     family, (decisions, info_sets, terminals) = _FAMILIES[game_id], _layout(game_id)
-    plain = next(g for g, f in _FAMILIES.items() if not f.coalition and f.report == family.report)
+    plain = family_of(False, family.report)[0]
     nodes = dict(decisions)
     for nid, cell in terminals.items():
         if cell is None:
@@ -364,8 +370,7 @@ def build_game(game_id: str, params: Params) -> Game:
             utilities, label = family.cell(params, *cell), f"{game_id.upper()}:{nid}"
         nodes[nid] = Node(nid, utilities=(Fraction(utilities[0]), Fraction(utilities[1])),
                           label=label)
-    return Game(game_id, params, nodes, dict(info_sets),
-                player_roles=dict(enumerate(family.roles, 1)))
+    return Game(game_id, params, nodes, dict(info_sets))
 
 
 # ---------------------------------------------------------------------------

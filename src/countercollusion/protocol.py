@@ -35,13 +35,12 @@ from . import CodedError
 from .contracts import (
     CCState,
     ColludersContract,
-    ContractError,
     PrisonersContract,
     TCState,
     TraitorsContract,
 )
 from .crypto import CryptoError, Opening, commit, digest, prove_eq, prove_neq, setup
-from .gametheory import terminal_label
+from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
 __all__ = [
@@ -55,10 +54,7 @@ __all__ = [
     "ScenarioError",
     "run_scenario",
     "ttp_resolve",
-    "PARTIES",
 ]
-
-PARTIES = ("client", "cloud1", "cloud2", "ttp", "costs")
 
 
 class ScenarioError(CodedError):
@@ -356,43 +352,31 @@ def run_scenario(
     candidates = [cl for cl in clouds if strategies[cl].report_choice is not ReportChoice.NO_REPORT]
     if coalition_attempt and responder in candidates:
         candidates.sort(key=lambda cl: 0 if cl == responder else 1)
+    reporter: Optional[AccountId] = candidates[0] if candidates else None
     ctt: Optional[TraitorsContract] = None
-    reporter: Optional[AccountId] = None
-    suppressed_join = False
-    client_view: dict = {"y_openings": {}, "yprime": None, "yt": None}
-    for candidate in candidates:
-        if ctt is not None:
-            ledger.record("protocol/report-denied", actor=candidate)
-            continue
+    if reporter is not None:
         reported_ctc = ctc
         if reported_ctc is None:
             # fabricate a decoy coalition contract to have something to report;
             # the client cannot tell it from a genuine offer
-            peer = clouds[1 - clouds.index(candidate)]
+            peer = clouds[1 - clouds.index(reporter)]
             reported_ctc = ColludersContract.create(
-                ledger, ctp, candidate, peer, t, b, sched.T4, sched.T5,
+                ledger, ctp, reporter, peer, t, b, sched.T4, sched.T5,
                 com_r_creator=commit(gp, m_r, rng.randrange(gp.q)),
                 com_r_other=commit(gp, m_r, rng.randrange(gp.q)),
             )
-        try:
-            ctt = TraitorsContract.create(ledger, ctp, reported_ctc, client, candidate)
-        except ContractError as exc:
-            if exc.code != "not-first-reporter":
-                raise
-            ledger.record("protocol/report-denied", actor=candidate)
-            continue
-        reporter = candidate
-        ctt.join(candidate)
-        if candidate == initiator:
-            # the ringleader reported its own attempt; the responder backs off
-            suppressed_join = True
+        ctt = TraitorsContract.create(ledger, ctp, reported_ctc, client, reporter)
+        ctt.join(reporter)
+    for candidate in candidates[1:]:
+        ledger.record("protocol/report-denied", actor=candidate)
 
     # --- coalition joining + traitor side-delivery at t=4 --------------------
     ledger.advance_time(1)
-    coalition_formed = False
-    if coalition_attempt and strategies[responder].coalition_role is Role.ACCEPT and not suppressed_join:
+    # a ringleader who reported its own attempt makes the responder back off
+    coalition_formed = (coalition_attempt and strategies[responder].coalition_role is Role.ACCEPT
+                        and reporter != initiator)
+    if coalition_formed:
         ctc.join(responder)
-        coalition_formed = True
 
     computed: set[AccountId] = set()
 
@@ -401,19 +385,19 @@ def run_scenario(
             computed.add(cloud)
             ledger.transfer(cloud, costs, task_cost, tag="protocol/compute-cost")
 
+    o_prime: Optional[Opening] = None  # the reporter's side-result opening
     if ctt is not None:
-        choice = strategies[reporter].report_choice
-        if choice is ReportChoice.REPORT_CORRECT:
+        if strategies[reporter].report_choice is ReportChoice.REPORT_CORRECT:
             charge_compute(reporter)
             m_prime = m_true
         else:
             m_prime = digest(gp, values["ywrong"])
-        s_prime = rng.randrange(gp.q)
-        ctt.deliver(reporter, commit(gp, m_prime, s_prime))
-        client_view["yprime"] = Opening(m_prime, s_prime)
+        o_prime = Opening(m_prime, rng.randrange(gp.q))
+        ctt.deliver(reporter, commit(gp, o_prime.m, o_prime.s))
 
     # --- deliveries in the outsourcing contract at t=5 ------------------------
     ledger.advance_time(1)
+    y_openings: dict[AccountId, Opening] = {}  # the deliveries as the client sees them
     for idx, cloud in enumerate(clouds):
         action = strategies[cloud].ctp_action
         if action is CtpAction.WITHHOLD:
@@ -435,36 +419,28 @@ def run_scenario(
             s_y = rng.randrange(gp.q)
             com_y = commit(gp, m_y, s_y)
         ctp.deliver(cloud, com_y)
-        client_view["y_openings"][cloud] = Opening(m_y, s_y)
+        y_openings[cloud] = Opening(m_y, s_y)
 
     # --- settlement just after T2 ---------------------------------------------
     ledger.advance_time(sched.T2 + 1 - ledger.clock)
     ttp_rng = random.Random(seed ^ 0x5EED)
-    if ctt is not None:
-        # clause 7: the client must dispute, whatever was delivered
-        client_view["yt"] = ttp_resolve(ctp, task, client_view["y_openings"], ttp_rng)
-        if ctt.state is TCState.COMPUTED:
-            o_prime, o_t = client_view["yprime"], client_view["yt"]
-            if o_prime is not None and o_prime.m % gp.q == o_t.m % gp.q:
-                proof = prove_eq(
-                    gp, ctt.com_yprime, ctp.dispute_record.com_yt, o_prime, o_t, ttp_rng
-                )
-            else:
-                proof = None
-            ctt.check(client, proof)
+    o1, o2 = (y_openings.get(cl) for cl in clouds)
+    # without a report the client pays if nobody delivered or both delivered
+    # one value; otherwise, and always once a traitor's contract exists
+    # (clause 7), it disputes
+    if ctt is None and not y_openings:
+        ctp.pay(client, None)
+    elif ctt is None and o1 is not None and o2 is not None and o1.m % gp.q == o2.m % gp.q:
+        ctp.pay(client, prove_eq(gp, ctp.delivered[clouds[0]], ctp.delivered[clouds[1]],
+                                 o1, o2, ttp_rng))
     else:
-        openings = client_view["y_openings"]
-        if len(ctp.delivered) == 0:
-            ctp.pay(client, None)
-        elif len(ctp.delivered) == 2:
-            o1, o2 = (openings.get(cl) for cl in clouds)
-            if o1 is not None and o2 is not None and o1.m % gp.q == o2.m % gp.q:
-                proof = prove_eq(gp, ctp.delivered[clouds[0]], ctp.delivered[clouds[1]], o1, o2, ttp_rng)
-                ctp.pay(client, proof)
-            else:
-                client_view["yt"] = ttp_resolve(ctp, task, openings, ttp_rng)
-        else:
-            client_view["yt"] = ttp_resolve(ctp, task, openings, ttp_rng)
+        o_t = ttp_resolve(ctp, task, y_openings, ttp_rng)
+        if ctt is not None and ctt.state is TCState.COMPUTED:
+            proof = None
+            if o_prime.m % gp.q == o_t.m % gp.q:
+                proof = prove_eq(gp, ctt.com_yprime, ctp.dispute_record.com_yt, o_prime, o_t,
+                                 ttp_rng)
+            ctt.check(client, proof)
 
     # --- coalition enforcement after T5 ----------------------------------------
     ledger.advance_time(sched.T5 + 1 - ledger.clock)
@@ -484,43 +460,27 @@ def run_scenario(
             raise ScenarioError("invariant-breach", f"escrow {acct.id} holds {balance}")
 
     final = ledger.snapshot()
-    name_of = {client: "client", clouds[0]: "cloud1", clouds[1]: "cloud2", ttp: "ttp", costs: "costs"}
-    deltas = {name_of[acct]: final.get(acct, 0) - initial.get(acct, 0) for acct in funding}
+    deltas = {acct.id: final.get(acct, 0) - initial.get(acct, 0) for acct in funding}
 
-    label, family, roles = _label_outcome(
-        clouds, strategies, initiator, responder, reporter,
-        coalition_formed, traitor_enabled, name_of,
-    )
+    # the game has a coalition prefix iff a coalition formed and a report
+    # layer iff the traitor module is on; player 2 is the responder, else the
+    # reporter, else cloud2 by convention
+    game_id, role_names = family_of(coalition_formed, traitor_enabled)
+    second = responder if coalition_formed else reporter or clouds[1]
+    players = (clouds[1 - clouds.index(second)], second)
+    act = [_action_index(strategies[cl].ctp_action) for cl in players]
+    rho = 0 if reporter is None else list(ReportChoice).index(strategies[reporter].report_choice)
     clauses = tuple(
         entry["tag"] for entry in ledger.log
         if "/pay/" in entry.get("tag", "") or "/dispute/" in entry.get("tag", "")
         or "/enforce/" in entry.get("tag", "") or "/check/" in entry.get("tag", "")
     )
     return Outcome(
-        terminal_label=label,
-        game_family=family,
+        terminal_label=terminal_label(game_id, rho, *act),
+        game_family=game_id.upper(),
         deltas=deltas,
-        roles=roles,
+        roles={cl.id: role for cl, role in zip(players, role_names)},
         transcript=tuple(ledger.log),
         settlement_clauses=clauses,
     )
 
-
-def _label_outcome(clouds, strategies, initiator, responder, reporter,
-                   coalition_formed, traitor_enabled, name_of):
-    """Map the scenario to a terminal node of the matching game family."""
-    act = {cl: _action_index(strategies[cl].ctp_action) for cl in clouds}
-    rho = 0 if reporter is None else list(ReportChoice).index(strategies[reporter].report_choice)
-    if coalition_formed:
-        family = "G4" if reporter is not None or traitor_enabled else "G2"
-        players, roles = (initiator, responder), ("LDR", "FLR")
-    elif reporter is not None:
-        family, players, roles = "G3", (clouds[1 - clouds.index(reporter)], reporter), ("OTH", "TRA")
-    elif traitor_enabled:
-        # a world with the traitor module but no report: cloud2 is the
-        # designated would-be reporter by convention
-        family, players, roles = "G3", clouds, ("OTH", "TRA")
-    else:
-        family, players, roles = "G1", clouds, ("C1", "C2")
-    label = terminal_label(family.lower(), rho, act[players[0]], act[players[1]])
-    return label, family, {name_of[cl]: role for cl, role in zip(players, roles)}

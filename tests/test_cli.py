@@ -429,6 +429,32 @@ def test_batch_keeps_valid_results_past_a_malformed_entry(capsys, tmp_path):
 # hostile scenario configs
 # ---------------------------------------------------------------------------
 
+
+@pytest.mark.parametrize("argv", [("run",), ("batch",), ("check-params",),
+                                  ("analyze", "--game", "g1")])
+@pytest.mark.parametrize("content", [
+    pytest.param(b"[" * 200_000 + b"]" * 200_000, id="too-deep"),
+    pytest.param(b"\xff\xfe{}", id="not-utf8"),
+])
+def test_unreadable_config_is_a_config_error(capsys, tmp_path, argv, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    code, report, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: config ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("check-params",), ("run",)])
+def test_unwritable_out_path_is_a_config_error(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "report.json"
+    code, report, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: cannot write report ")
+    assert not out.exists()
+
 _JUNK = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
                   st.lists(st.integers(), max_size=2))
 _INTS = st.one_of(st.integers(-5, 400), st.integers(-2**70, 2**70))

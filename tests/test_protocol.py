@@ -277,6 +277,20 @@ def test_both_report_but_the_follower_wins():
     assert denied and denied[0]["actor"] == "cloud1"
 
 
+def test_both_report_without_coalition_cloud1_wins_on_a_decoy():
+    honest_reporter = strat(report=ReportChoice.REPORT_CORRECT, action=CtpAction.FX)
+    out = run(honest_reporter, honest_reporter)
+    assert out.terminal_label == "G3:v22"
+    assert out.roles == {"cloud1": "TRA", "cloud2": "OTH"}
+    reports = [(e["tag"], e["actor"], e.get("traitor")) for e in out.transcript
+               if e["tag"] in ("colluders/create", "traitors/create", "protocol/report-denied")]
+    assert reports == [
+        ("colluders/create", "cloud1", None),
+        ("traitors/create", "client", "cloud1"),
+        ("protocol/report-denied", "cloud2", None),
+    ]
+
+
 def test_initiator_reporting_kills_its_own_coalition():
     out = run(
         strat(Role.INITIATE, ReportChoice.REPORT_CORRECT, CtpAction.FX),
