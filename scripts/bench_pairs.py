@@ -12,8 +12,14 @@ change first in even ones.  Every run's last output line (its JSON result)
 is kept as ``RUNS/WORKLOAD-SEED/{parent,change}-I.json``; a run whose file
 exists is not run again, so an interrupted measurement resumes.
 
-The output holds both commits (and the tree hash of each ``src/``, which
-names an uncommitted change too), the Python version and, per workload and
+Both sides must run the same benchmark: the git tree hash of each
+checkout's ``perfbench/`` and the blob hash of its ``BENCHMARK.json`` are
+compared first, and the script exits non-zero, running nothing, when they
+differ.
+
+The output holds both commits (and the tree hashes of each ``src/`` and
+``perfbench/`` and the blob hash of each ``BENCHMARK.json``, which name an
+uncommitted change too), the Python version and, per workload and
 seed, every value of every end-to-end metric, the medians of both sides,
 the parent's quartiles, the change's relative difference of medians, the
 pairs in which the change was better, and the operation and failure counts.
@@ -34,6 +40,8 @@ from pathlib import Path
 METRICS = {"setup_s": False, "ops_per_s": True, "op_ms_p50": False,
            "op_ms_p90": False, "peak_rss_mb": False}
 SIDES = ("parent", "change")
+#: What must be identical on both sides: the benchmark's code and declaration.
+BENCHMARK_KEYS = ("perfbench_tree", "benchmark_blob")
 
 
 def git(checkout: Path, *args: str, **env: str) -> str:
@@ -42,15 +50,20 @@ def git(checkout: Path, *args: str, **env: str) -> str:
 
 
 def revision(checkout: Path, scratch: Path) -> dict:
-    """The checkout's commit and the git tree hash of its ``src/`` as it is on
-    disk, committed or not: once committed, ``git rev-parse COMMIT:src``
-    gives the same hash."""
+    """The checkout's commit, the git tree hashes of its ``src/`` and
+    ``perfbench/`` and the blob hash of its ``BENCHMARK.json``, as they are
+    on disk, committed or not: once committed, ``git rev-parse
+    COMMIT:PATH`` gives the same hash."""
     index = scratch / f"index-{checkout.name}"
     index.unlink(missing_ok=True)
-    git(checkout, "add", "-A", "src", GIT_INDEX_FILE=str(index))
-    tree = git(checkout, "write-tree", "--prefix=src/", GIT_INDEX_FILE=str(index))
+    env = {"GIT_INDEX_FILE": str(index)}
+    git(checkout, "add", "-A", "src", "perfbench", "BENCHMARK.json", **env)
+    out = {"commit": git(checkout, "rev-parse", "HEAD")}
+    for name in ("src", "perfbench"):
+        out[f"{name}_tree"] = git(checkout, "write-tree", f"--prefix={name}/", **env)
+    out["benchmark_blob"] = git(checkout, "rev-parse", ":BENCHMARK.json", **env)
     index.unlink()
-    return {"commit": git(checkout, "rev-parse", "HEAD"), "src_tree": tree}
+    return out
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, dest: Path) -> dict:
@@ -99,8 +112,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     args.runs.mkdir(parents=True, exist_ok=True)
-    report = {"about": __doc__.split("\n\n")[0],
-              **{side: revision(checkouts[side], args.runs.resolve()) for side in SIDES},
+    revisions = {side: revision(checkouts[side], args.runs.resolve()) for side in SIDES}
+    for key in BENCHMARK_KEYS:
+        if revisions["parent"][key] != revisions["change"][key]:
+            sys.exit(f"the checkouts run different benchmarks: {key} "
+                     f"{revisions['parent'][key]} (parent) != {revisions['change'][key]} (change)")
+    report = {"about": __doc__.split("\n\n")[0], **revisions,
               "python": platform.python_version(), "run_seconds": args.seconds, "workloads": {}}
     for spec in args.pair:
         workload, seed, n = spec.split(":")

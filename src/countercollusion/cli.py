@@ -423,7 +423,9 @@ def _selftest_group(group_id: str) -> dict:
         ("inequality_proof", neq, serialize_neq_proof, deserialize_neq_proof),
     ):
         raw = encode(gp, obj)
-        roundtrip_ok &= decode(gp, raw) == obj
+        back = decode(gp, raw)
+        # records are tuples: equal values alone would pass another type
+        roundtrip_ok &= type(back) is type(obj) and back == obj
         sizes_bits[name] = len(raw) * 8
     setup_deterministic = setup(group_id, b"\x01") == gp
 

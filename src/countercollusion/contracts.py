@@ -37,8 +37,7 @@ State machines (terminal states marked *):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import CodedError
 from .crypto import Commitment, EqProof, GroupParams, NeqProof, verify_eq, verify_neq
@@ -84,8 +83,7 @@ class TCState(enum.Enum):
     ABORTED = "ABORTED"
 
 
-@dataclass(frozen=True)
-class DisputeRecord:
+class DisputeRecord(NamedTuple):
     """Arbitration verdict: the arbiter's result commitment and who cheated."""
 
     com_yt: Commitment
@@ -98,9 +96,14 @@ class DisputeRecord:
 
 
 class _Escrow:
-    """The one transition path of the three contracts: dataclasses with
-    ``ledger``, ``account`` and ``state`` fields, an ``on_timer`` method and a
-    ``_kind`` that prefixes every tag."""
+    """The one transition path of the three contracts: plain classes whose
+    ``create`` passes every field without a class-level default (``ledger``
+    and ``account`` among them), with a ``state`` field, an ``on_timer``
+    method and a ``_kind`` that prefixes every tag.  A contract is mutable
+    and equal only to itself."""
+
+    def __init__(self, **fields) -> None:
+        vars(self).update(fields)
 
     def _open(self, payer: AccountId, amount: Money, **detail):
         """Escrow ``amount`` from ``payer``, register the timer, log ``create``."""
@@ -146,7 +149,6 @@ class _Escrow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PrisonersContract(_Escrow):
     ledger: Ledger
     gp: GroupParams
@@ -161,11 +163,11 @@ class PrisonersContract(_Escrow):
     T1: int
     T2: int
     T3: int
+    workers: list[AccountId]
+    delivered: dict[AccountId, Commitment]
     state: PCState = PCState.CREATED
-    workers: list[AccountId] = field(default_factory=list)
-    delivered: dict[AccountId, Commitment] = field(default_factory=dict)
     dispute_record: Optional[DisputeRecord] = None
-    traitor_contract: Optional["TraitorsContract"] = None
+    traitor_contract: Optional[TraitorsContract] = None
 
     _kind = "prisoners"
 
@@ -190,6 +192,7 @@ class PrisonersContract(_Escrow):
         return cls(
             ledger=ledger, gp=gp, account=ledger.fresh_account(cls._kind), client=client,
             ttp=ttp, com_f=com_f, com_x=com_x, w=w, d=d, ch=ch, T1=T1, T2=T2, T3=T3,
+            workers=[], delivered={},
         )._open(client, 2 * w + ch)
 
     # -- worker entry ---------------------------------------------------------
@@ -324,7 +327,6 @@ class PrisonersContract(_Escrow):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ColludersContract(_Escrow):
     ledger: Ledger
     ctp: PrisonersContract
@@ -416,7 +418,6 @@ class ColludersContract(_Escrow):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class TraitorsContract(_Escrow):
     ledger: Ledger
     ctp: PrisonersContract

@@ -47,8 +47,7 @@ every artifact is reproducible bit for bit.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import CodedError
 
@@ -366,7 +365,8 @@ class _Secp256k1Group:
     def is_member(self, a) -> bool:
         if a is None:
             return True
-        if not (isinstance(a, tuple) and len(a) == 2):
+        # a plain pair: two-field records such as ``Opening`` are tuples too
+        if not (type(a) is tuple and len(a) == 2):
             return False
         x, y = a
         if not (isinstance(x, int) and isinstance(y, int)):
@@ -469,20 +469,20 @@ _BACKENDS = {"toy": _ToyGroup(), "secp256k1": _Secp256k1Group()}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(NamedTuple):
     """A group together with the two commitment generators ``P`` and ``Q``.
 
     ``tables`` holds the generators' precomputed rows for the secp256k1
-    ``mul`` (empty on toy); it is derived from ``P`` and ``Q``, so it takes
-    no part in equality.
+    ``mul`` (the shared empty ``_NO_TABLES`` on toy).  It is derived from
+    ``P`` and ``Q``, so equal generators give equal tables; being a dict, it
+    makes a ``GroupParams`` unhashable.
     """
 
     group_id: str
     q: int
     P: object
     Q: object
-    tables: dict = field(default_factory=dict, compare=False, repr=False)
+    tables: dict = _NO_TABLES
 
     @property
     def backend(self):
@@ -504,31 +504,27 @@ class GroupParams:
         return self.backend.elem_size
 
 
-@dataclass(frozen=True)
-class Commitment:
+class Commitment(NamedTuple):
     """A Pedersen commitment: a single group element."""
 
     value: object
 
 
-@dataclass(frozen=True)
-class Opening:
+class Opening(NamedTuple):
     """The witness of a commitment: message scalar ``m`` and blinding ``s``."""
 
     m: Scalar
     s: Scalar
 
 
-@dataclass(frozen=True)
-class EqProof:
+class EqProof(NamedTuple):
     """Proof that two commitments hide the same message: ``(t, eta)``."""
 
     t: object
     eta: Scalar
 
 
-@dataclass(frozen=True)
-class NeqProof:
+class NeqProof(NamedTuple):
     """Proof that two commitments hide different messages: ``(t, eta1, eta2)``."""
 
     t: object
@@ -553,7 +549,7 @@ def setup(group_id: str = "toy", seed: bytes = b"\x01") -> GroupParams:
     backend = _BACKENDS[group_id]
     P = backend.hash_to_group(b"P", seed)
     Q = backend.hash_to_group(b"Q", seed)
-    tables = backend.fixed_base_tables(P, Q) if group_id == "secp256k1" else {}
+    tables = backend.fixed_base_tables(P, Q) if group_id == "secp256k1" else _NO_TABLES
     return GroupParams(group_id=group_id, q=backend.q, P=P, Q=Q, tables=tables)
 
 

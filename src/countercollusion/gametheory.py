@@ -27,9 +27,8 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from . import CodedError
 from .ledger import Params, validate_params
@@ -67,8 +66,7 @@ class GameError(CodedError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One tree node: a decision point (player/info_set/children) or a
     terminal (utilities/label)."""
 
@@ -88,8 +86,7 @@ class Node:
         return tuple(self.children) if self.children else ()
 
 
-@dataclass(frozen=True)
-class InfoSet:
+class InfoSet(NamedTuple):
     set_id: str
     player: int
     nodes: tuple[str, ...]
@@ -257,8 +254,7 @@ _DELIVERIES = ("fx", "r", "other")
 _DECLINES = ("no_init", "no_collude")
 
 
-@dataclass(frozen=True)
-class _Family:
+class _Family(NamedTuple):
     """A game family: which optional layers precede the 3x3 delivery block.
 
     ``cell(params, rho, i, j)`` gives the terminal utilities after report
@@ -378,8 +374,7 @@ def build_game(game_id: str, params: Params) -> Game:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """A behavior-strategy profile plus a belief system, both per info set."""
 
     profile: Mapping[str, Mapping[str, Fraction]]
@@ -511,8 +506,7 @@ _NODE_TIE_EXEMPT: dict[str, frozenset[tuple[str, str]]] = {
 }
 
 
-@dataclass(frozen=True)
-class NodeCheck:
+class NodeCheck(NamedTuple):
     node_id: str
     action: str
     value: Fraction
@@ -520,8 +514,7 @@ class NodeCheck:
     relation: str  # "worse" | "tie-exempt" | "tie" | "better"
 
 
-@dataclass(frozen=True)
-class InfoSetCheck:
+class InfoSetCheck(NamedTuple):
     set_id: str
     player: int
     eq_value: Fraction
@@ -533,8 +526,7 @@ class InfoSetCheck:
     node_checks: tuple[NodeCheck, ...]
 
 
-@dataclass(frozen=True)
-class RationalityReport:
+class RationalityReport(NamedTuple):
     game_id: str
     weak_ok: bool
     strict_ok: bool
@@ -721,8 +713,7 @@ def check_consistency(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     game_id: str
     params_violations: tuple[str, ...]
     rationality: RationalityReport

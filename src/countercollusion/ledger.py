@@ -15,8 +15,7 @@ guards are monotone in the clock).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import CodedError
 
@@ -37,16 +36,14 @@ class LedgerError(CodedError):
     """Monetary precondition failure."""
 
 
-@dataclass(frozen=True)
-class AccountId:
+class AccountId(NamedTuple):
     """A named account; ``kind`` is one of ``external``, ``contract``, ``sink``."""
 
     id: str
     kind: str = "external"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """The monetary parameters of one outsourcing engagement.
 
     w   payment per cloud for the computation

@@ -28,8 +28,7 @@ import ast
 import enum
 import hashlib
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import CodedError
 from .contracts import (
@@ -81,15 +80,13 @@ class CtpAction(enum.Enum):
     WITHHOLD = "withhold"  # deliver nothing
 
 
-@dataclass(frozen=True)
-class CloudStrategy:
+class CloudStrategy(NamedTuple):
     coalition_role: Role = Role.HONEST
     report_choice: ReportChoice = ReportChoice.NO_REPORT
     ctp_action: CtpAction = CtpAction.FX
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """The outsourced computation.
 
     ``iterated-hash``: y = SHA-256 applied ``rounds`` times to ``x`` (hex).
@@ -175,8 +172,7 @@ def _eval_arith(expr: str, x: int) -> int:
         raise ScenarioError("invalid-task", "expression nested too deeply") from exc
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Contract deadlines: bid by T1, deliver by T2, settle by T3; coalition
     joining closes at T4 and its enforcement opens at T5."""
 
@@ -187,8 +183,7 @@ class Schedule:
     T5: int = 35
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     terminal_label: str
     game_family: str
     deltas: dict[str, Money]

@@ -1,0 +1,188 @@
+"""The package's records, its contracts and what a cold start imports.
+
+Records are ``typing.NamedTuple`` classes: immutable, equal by value and,
+when every field is hashable, usable as dict keys.  Contracts are mutable
+and equal only to themselves.  A fresh interpreter that imports the CLI and
+sets up a group loads neither ``dataclasses`` nor ``inspect``.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from countercollusion import cli, contracts, crypto, gametheory, ledger, protocol
+from countercollusion.contracts import (
+    ColludersContract,
+    DisputeRecord,
+    PrisonersContract,
+    TraitorsContract,
+)
+from countercollusion.crypto import (
+    Commitment,
+    EqProof,
+    GroupParams,
+    NeqProof,
+    Opening,
+    commit,
+    setup,
+)
+from countercollusion.gametheory import (
+    AnalysisReport,
+    Assessment,
+    InfoSet,
+    InfoSetCheck,
+    Node,
+    NodeCheck,
+    RationalityReport,
+    _Family,
+)
+from countercollusion.ledger import AccountId, Ledger, Params
+from countercollusion.protocol import (
+    CloudStrategy,
+    CtpAction,
+    Outcome,
+    ReportChoice,
+    Role,
+    Schedule,
+    Task,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _rationality():
+    return RationalityReport("g1", True, True, True, ())
+
+
+#: One factory per record type; each call builds equal but distinct values.
+SAMPLES = {
+    AccountId: lambda: AccountId("cloud1"),
+    Params: lambda: Params(w=100, c=10, ch=201, d=212, t=309, b=5),
+    GroupParams: lambda: setup("secp256k1"),
+    Commitment: lambda: Commitment((3, 4)),
+    Opening: lambda: Opening(3, 4),
+    EqProof: lambda: EqProof((3, 4), 5),
+    NeqProof: lambda: NeqProof((3, 4), 5, 6),
+    DisputeRecord: lambda: DisputeRecord(Commitment(7), {AccountId("cloud1"): True}),
+    Node: lambda: Node("v0", player=1, info_set="I1", children={"fx": "v1"}),
+    InfoSet: lambda: InfoSet("I1", 1, ("v0",), ("fx", "r")),
+    _Family: lambda: _Family(False, False, ("C1", "C2"), max, ("fx", "fx")),
+    Assessment: lambda: Assessment({"I1": {"fx": Fraction(1)}}, {"I1": {"v0": Fraction(1)}}),
+    NodeCheck: lambda: NodeCheck("v0", "r", Fraction(-1), Fraction(0), "worse"),
+    InfoSetCheck: lambda: InfoSetCheck("I1", 1, Fraction(0), {"r": Fraction(-1)},
+                                       Fraction(0), True, True, True, ()),
+    RationalityReport: _rationality,
+    AnalysisReport: lambda: AnalysisReport("g1", (), _rationality(), {10: Fraction(0)},
+                                           {"G1:v1": Fraction(1)}, ()),
+    CloudStrategy: lambda: CloudStrategy(Role.INITIATE, ReportChoice.NO_REPORT, CtpAction.R),
+    Task: lambda: Task("arithmetic-expression", "3", 2, "x*x"),
+    Schedule: lambda: Schedule(T1=11),
+    Outcome: lambda: Outcome("G1:v1", "G1", {"cloud1": 90}, {"cloud1": "C1"},
+                             ({"time": 0, "tag": "x"},), ("8b",)),
+}
+
+
+#: Records the package uses as dict keys.
+DICT_KEYS = (AccountId, Params, CloudStrategy)
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+def test_every_record_type_has_a_sample():
+    records = {obj for module in (ledger, crypto, contracts, protocol, gametheory)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, tuple)
+               and obj.__module__ == module.__name__}
+    assert records == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
+def test_record_behaviour(cls):
+    a, b = SAMPLES[cls](), SAMPLES[cls]()
+    assert type(a) is cls
+    fields = list(cls.__annotations__)
+    for name in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b and not a != b
+    if all(_hashable(getattr(a, name)) for name in fields):
+        assert hash(a) == hash(b)
+        assert {a: "found"}[b] == "found"
+    else:
+        assert cls not in DICT_KEYS and not _hashable(a)
+
+
+def test_group_params_tables_compare_and_default():
+    secp = setup("secp256k1")
+    assert secp.tables and secp == setup("secp256k1")
+    assert secp != secp._replace(tables={})
+    toy = setup("toy")
+    assert toy.tables is crypto._NO_TABLES
+    assert GroupParams(toy.group_id, toy.q, toy.P, toy.Q).tables is crypto._NO_TABLES
+
+
+def test_a_two_field_record_is_not_a_point():
+    gp = setup("secp256k1")
+    backend = gp.backend
+    assert backend.is_member(gp.P)
+    assert not backend.is_member(Opening(*gp.P))
+    assert not backend.is_member(EqProof(*gp.P))
+
+
+def test_selftest_roundtrip_catches_a_decoder_returning_another_record(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "deserialize_eq_proof",
+                        lambda gp, raw: Opening(*crypto.deserialize_eq_proof(gp, raw)))
+    assert cli.main(["crypto-selftest", "--group", "toy"]) == 4
+    assert '"roundtrip_ok": false' in capsys.readouterr().out
+
+
+def _contracts():
+    gp = setup("toy")
+    client, c1, c2, ttp = (AccountId(n) for n in ("client", "cloud1", "cloud2", "ttp"))
+    led = Ledger({client: 5000, c1: 5000, c2: 5000, ttp: 0})
+    com = commit(gp, 1, 2)
+    ctp = PrisonersContract.create(led, gp, client, ttp, com, com, 100, 212, 201, 10, 20, 30)
+    ctp.bid(c1)
+    ctp.bid(c2)
+    ctc = ColludersContract.create(led, ctp, c1, c2, 309, 5, 15, 35, com, com)
+    ctt = TraitorsContract.create(led, ctp, ctc, client, c2)
+    return ctp, ctc, ctt
+
+
+@pytest.mark.parametrize("index", range(3), ids=["prisoners", "colluders", "traitors"])
+def test_a_contract_equals_only_itself(index):
+    contract = _contracts()[index]
+    twin = type(contract)(**vars(contract))
+    assert vars(twin) == vars(contract)
+    assert contract == contract and twin != contract
+    assert len({contract, twin}) == 2
+
+
+def test_each_prisoners_contract_has_its_own_workers_and_deliveries():
+    a, b = _contracts()[0], _contracts()[0]
+    assert a.workers == b.workers and a.workers is not b.workers
+    assert a.delivered is not b.delivered
+
+
+def test_cold_import_loads_no_code_generation():
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import countercollusion.cli\n"
+            "from countercollusion import crypto\n"
+            "crypto.setup('secp256k1')\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    # -S: no site hooks, so only the package and the stdlib it imports count
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
