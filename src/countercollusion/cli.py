@@ -467,6 +467,18 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(f"--{key}", type=int, help=f"override parameter {key}")
 
 
+def _group(name: str) -> str:
+    """``--group``'s ``type``.  argparse checks ``choices`` against given
+    values only; the default taken from ``COUNTERCOLLUSION_GROUP`` goes
+    through ``type`` alone, so a malformed one is caught here, at parse
+    time, with exit code 2."""
+    if name not in _GROUPS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(_GROUPS)}; "
+            "COUNTERCOLLUSION_GROUP sets the default)")
+    return name
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="countercollusion",
@@ -483,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one contract scenario")
     p.add_argument("--config", help="JSON scenario config")
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--group", choices=_GROUPS, default=default_group)
+    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
     p.add_argument("--transcript", action="store_true", help="include the ledger log")
     p.add_argument("--out", help="write the JSON report to this file")
     p.set_defaults(func=cmd_run)
@@ -492,7 +504,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--game", choices=GAME_IDS, required=True)
     _add_param_flags(p)
     p.add_argument("--seed", type=int, help="seed for the protocol crosscheck")
-    p.add_argument("--group", choices=_GROUPS, default=default_group)
+    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
     p.add_argument("--kmax", type=int, default=10**7,
                    help="largest k in the consistency ladder")
     p.add_argument("--out", help="write the JSON report to this file")
@@ -505,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="run many scenarios from one config")
     p.add_argument("--config", required=True, help="JSON file with a scenario list")
-    p.add_argument("--group", choices=_GROUPS, default=default_group)
+    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
     p.add_argument("--out", help="write the JSON report to this file")
     p.set_defaults(func=cmd_batch)
 

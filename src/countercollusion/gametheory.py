@@ -61,6 +61,10 @@ class GameError(CodedError):
     """Game-structure or assessment failure."""
 
 
+# the default of every exact sum and of every probability left out of a map
+_ZERO = Fraction(0)
+
+
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------
@@ -450,21 +454,37 @@ def node_value(game: Game, node_id: str, profile: Mapping, player: int) -> Fract
     return sum(
         (pr * node_value(game, node.children[a], profile, player)
          for a, pr in dist.items() if pr),
-        Fraction(0),
+        _ZERO,
     )
+
+
+def _node_values(game: Game, profile: Mapping) -> dict[str, tuple[Fraction, Fraction]]:
+    """Both players' ``node_value`` at every node under ``profile``, in one
+    bottom-up pass over the tree."""
+    values: dict[str, tuple[Fraction, Fraction]] = {}
+
+    def visit(nid: str) -> tuple[Fraction, Fraction]:
+        node = game.nodes[nid]
+        if node.is_terminal:
+            values[nid] = node.utilities
+        else:
+            below = {a: visit(child) for a, child in node.children.items()}
+            weighted = [(pr, below[a]) for a, pr in profile[node.info_set].items() if pr]
+            values[nid] = (sum((pr * u[0] for pr, u in weighted), _ZERO),
+                           sum((pr * u[1] for pr, u in weighted), _ZERO))
+        return values[nid]
+
+    visit(game.root)
+    return values
 
 
 def expected_payoff(game: Game, assessment: Assessment, set_id: str) -> Fraction:
     """Belief-weighted expected payoff of the info set's owner."""
-    return _belief_value(game, set_id, assessment.beliefs[set_id], assessment.profile)
-
-
-def _belief_value(game: Game, set_id: str, beliefs: Mapping, profile: Mapping) -> Fraction:
-    iset = game.info_sets[set_id]
+    iset, beliefs = game.info_sets[set_id], assessment.beliefs[set_id]
     return sum(
-        (beliefs.get(h, Fraction(0)) * node_value(game, h, profile, iset.player)
+        (beliefs.get(h, _ZERO) * node_value(game, h, assessment.profile, iset.player)
          for h in iset.nodes),
-        Fraction(0),
+        _ZERO,
     )
 
 
@@ -476,10 +496,10 @@ def outcome_distribution(game: Game, profile: Mapping) -> dict[str, Fraction]:
         nid, pr = stack.pop()
         node = game.nodes[nid]
         if node.is_terminal:
-            dist[nid] = dist.get(nid, Fraction(0)) + pr
+            dist[nid] = dist.get(nid, _ZERO) + pr
             continue
         for action, child in node.children.items():
-            p_a = profile[node.info_set].get(action, Fraction(0))
+            p_a = profile[node.info_set].get(action, _ZERO)
             if p_a:
                 stack.append((child, pr * p_a))
     return dist
@@ -490,7 +510,7 @@ def play(game: Game, profile: Mapping) -> dict[str, Fraction]:
     labels: dict[str, Fraction] = {}
     for nid, pr in outcome_distribution(game, profile).items():
         label = game.nodes[nid].label
-        labels[label] = labels.get(label, Fraction(0)) + pr
+        labels[label] = labels.get(label, _ZERO) + pr
     return labels
 
 
@@ -571,23 +591,31 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
     * nodes: at every single node of the set the prescribed action strictly
       beats each alternative, except at declared payoff-tie nodes, where
       exact equality is asserted instead.
+
+    Every value except the full deviations' is read from one table of node
+    values under the profile.  Under perfect recall no node of a set lies
+    below another node of the same set, so deviating to ``a`` at node ``h``
+    is worth exactly the profile's value at ``h``'s ``a``-child.
     """
     validate_assessment(game, assessment)
     exempt = _NODE_TIE_EXEMPT.get(game.game_id, frozenset())
+    values = _node_values(game, assessment.profile)
     checks = []
     for set_id in sorted(game.info_sets):
         iset = game.info_sets[set_id]
         player = iset.player
         beliefs = assessment.beliefs[set_id]
-        eq_value = expected_payoff(game, assessment, set_id)
         support = {a for a, pr in assessment.profile[set_id].items() if pr}
+        # (node, its owner's value under the profile, its children)
+        nodes = [(h, values[h][player - 1], game.nodes[h].children) for h in iset.nodes]
+        eq_value = sum((beliefs.get(h, _ZERO) * eq_h for h, eq_h, _ in nodes), _ZERO)
 
         # one-shot deviations at this set
-        one_shot: dict[str, Fraction] = {}
-        for action in iset.actions:
-            modified = dict(assessment.profile)
-            modified[set_id] = _pure(action, iset.actions)
-            one_shot[action] = _belief_value(game, set_id, beliefs, modified)
+        one_shot = {
+            action: sum((beliefs.get(h, _ZERO) * values[children[action]][player - 1]
+                         for h, _, children in nodes), _ZERO)
+            for action in iset.actions
+        }
         strict_ok = all(
             one_shot[a] < eq_value for a in iset.actions if a not in support
         )
@@ -599,14 +627,11 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
         # per-node dominance of the prescribed action
         node_checks = []
         nodes_ok = True
-        for h in iset.nodes:
-            eq_h = node_value(game, h, assessment.profile, player)
+        for h, eq_h, children in nodes:
             for action in iset.actions:
                 if action in support:
                     continue
-                modified = dict(assessment.profile)
-                modified[set_id] = _pure(action, iset.actions)
-                value = node_value(game, h, modified, player)
+                value = values[children[action]][player - 1]
                 if (h, action) in exempt:
                     relation = "tie-exempt"
                     if value != eq_h:
@@ -641,20 +666,20 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
 
 
 def bayes_beliefs(game: Game, profile: Mapping) -> dict[str, dict[str, Fraction]]:
-    """Beliefs induced by Bayes' rule from node reach probabilities."""
+    """Beliefs induced by Bayes' rule from the reach probabilities of the
+    decision nodes."""
     reach: dict[str, Fraction] = {game.root: Fraction(1)}
-    stack = [game.root]
-    while stack:
-        nid = stack.pop()
-        node = game.nodes[nid]
-        if node.is_terminal:
-            continue
-        for action, child in node.children.items():
-            reach[child] = reach[nid] * profile[node.info_set].get(action, Fraction(0))
-            stack.append(child)
+
+    def reach_of(nid: str) -> Fraction:
+        if nid not in reach:
+            parent, action = game.parents[nid]
+            dist = profile[game.nodes[parent].info_set]
+            reach[nid] = reach_of(parent) * dist.get(action, _ZERO)
+        return reach[nid]
+
     beliefs: dict[str, dict[str, Fraction]] = {}
     for iset in game.info_sets.values():
-        total = sum((reach[h] for h in iset.nodes), Fraction(0))
+        total = sum((reach_of(h) for h in iset.nodes), _ZERO)
         if total == 0:
             raise GameError("unreachable-info-set", iset.set_id)
         beliefs[iset.set_id] = {h: reach[h] / total for h in iset.nodes}
@@ -681,17 +706,15 @@ def consistency_sequence(game: Game, assessment: Assessment, k: int) -> Assessme
 
 def assessment_distance(game: Game, a: Assessment, b: Assessment) -> Fraction:
     """Sup-norm distance across all strategy and belief entries."""
-    gap = Fraction(0)
+    gap = _ZERO
     for iset in game.info_sets.values():
         for key in iset.actions:
             gap = max(gap, abs(
-                a.profile[iset.set_id].get(key, Fraction(0))
-                - b.profile[iset.set_id].get(key, Fraction(0))
+                a.profile[iset.set_id].get(key, _ZERO) - b.profile[iset.set_id].get(key, _ZERO)
             ))
         for key in iset.nodes:
             gap = max(gap, abs(
-                a.beliefs[iset.set_id].get(key, Fraction(0))
-                - b.beliefs[iset.set_id].get(key, Fraction(0))
+                a.beliefs[iset.set_id].get(key, _ZERO) - b.beliefs[iset.set_id].get(key, _ZERO)
             ))
     return gap
 

@@ -186,6 +186,21 @@ def test_group_env_variable_sets_default(capsys, monkeypatch):
     assert report["terminal_label"] == "G1:v4"
 
 
+@pytest.mark.parametrize("argv", [["run"], ["analyze", "--game", "g1"],
+                                  ["batch", "--config", "absent.json"]],
+                         ids=["run", "analyze", "batch"])
+def test_malformed_group_env_variable_is_a_usage_error(capsys, monkeypatch, argv):
+    # argparse never checks a default against ``choices``; unchecked, a
+    # malformed group reaches ``setup`` and exits 4, a failed verification
+    monkeypatch.setenv("COUNTERCOLLUSION_GROUP", "foo")
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --group: invalid choice: 'foo'" in err
+    assert "COUNTERCOLLUSION_GROUP" in err
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------

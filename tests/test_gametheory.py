@@ -39,6 +39,7 @@ from countercollusion.gametheory import (
     play,
     reference_equilibrium,
 )
+from countercollusion.gametheory import _node_values
 from countercollusion.ledger import Params, validate_params
 
 W, C, CH, D, T, B = 100, 10, 201, 212, 309, 5
@@ -117,6 +118,32 @@ def test_perfect_recall_violation_rejected():
     with pytest.raises(GameError) as err:
         Game("tiny", BASE, nodes, info_sets)
     assert "perfect recall" in str(err.value)
+
+
+@pytest.mark.parametrize("grandchild", [False, True])
+def test_info_set_holding_a_node_and_its_descendant_rejected(grandchild):
+    """``check_sequential_rationality`` reads a deviation at ``h`` from the
+    value at ``h``'s child, which is exact only if no node of the set lies
+    below another: a node and its child, or its grandchild behind the other
+    player's move, may not share a set."""
+    def leaf(nid):
+        return Node(nid, utilities=(Fraction(0), Fraction(0)), label=f"X:{nid}")
+
+    nodes = {
+        "v0": Node("v0", player=1, info_set="I1",
+                   children={"a": "v1" if grandchild else "v2", "b": "t0"}),
+        "v2": Node("v2", player=1, info_set="I1", children={"a": "t2", "b": "t3"}),
+        **{nid: leaf(nid) for nid in ("t0", "t2", "t3")},
+    }
+    info_sets = {"I1": InfoSet("I1", 1, ("v0", "v2"), ("a", "b"))}
+    if grandchild:
+        nodes.update(v1=Node("v1", player=2, info_set="I2", children={"w": "v2", "x": "t1"}),
+                     t1=leaf("t1"))
+        info_sets["I2"] = InfoSet("I2", 2, ("v1",), ("w", "x"))
+    with pytest.raises(GameError) as err:
+        Game("tiny", BASE, nodes, info_sets)
+    assert err.value.code == "bad-structure"
+    assert "violates perfect recall" in str(err.value)
 
 
 def test_partition_must_cover_all_decision_nodes():
@@ -388,6 +415,51 @@ def test_full_deviation_gain_matches_exhaustive_search(gid, kind, params, data):
         gain = _ref_max_gain(game, assessment, check.set_id)
         assert check.full_deviation_max_gain == gain, check.set_id
         assert check.weak_ok == (gain <= 0), check.set_id
+
+
+def _ref_deviation_values(game, assessment, set_id):
+    """The owner's value of each pure action at ``set_id``, per node and
+    weighted by the beliefs, each walked under a copy of the profile that
+    differs only at the set."""
+    iset = game.info_sets[set_id]
+    beliefs = assessment.beliefs[set_id]
+    per_node = {}
+    for action in iset.actions:
+        modified = dict(assessment.profile)
+        modified[set_id] = {a: Fraction(int(a == action)) for a in iset.actions}
+        for h in iset.nodes:
+            per_node[h, action] = node_value(game, h, modified, iset.player)
+    one_shot = {a: sum(beliefs.get(h, 0) * per_node[h, a] for h in iset.nodes)
+                for a in iset.actions}
+    return one_shot, per_node
+
+
+@pytest.mark.parametrize("kind", ["reference", "sequence", "mixed"])
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=8, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_one_pass_values_match_copied_profile_evaluation(gid, kind, params, data):
+    game = build_game(gid, params)
+    assessment = reference_equilibrium(game)
+    if kind == "sequence":
+        assessment = consistency_sequence(game, assessment, data.draw(st.integers(3, 12)))
+    elif kind == "mixed":
+        assessment = _mixed_assessment(game, data)
+    values = _node_values(game, assessment.profile)
+    assert set(values) == set(game.nodes)
+    for nid, value in values.items():
+        assert value == tuple(node_value(game, nid, assessment.profile, p) for p in (1, 2))
+    for check in check_sequential_rationality(game, assessment).checks:
+        iset = game.info_sets[check.set_id]
+        one_shot, per_node = _ref_deviation_values(game, assessment, check.set_id)
+        assert check.eq_value == expected_payoff(game, assessment, check.set_id)
+        assert check.one_shot_values == one_shot
+        support = {a for a, pr in assessment.profile[check.set_id].items() if pr}
+        assert [(nc.node_id, nc.action) for nc in check.node_checks] == [
+            (h, a) for h in iset.nodes for a in iset.actions if a not in support]
+        for nc in check.node_checks:
+            assert nc.value == per_node[nc.node_id, nc.action]
+            assert nc.eq_value == node_value(game, nc.node_id, assessment.profile, iset.player)
 
 
 def test_full_deviation_plans_across_later_info_sets():
