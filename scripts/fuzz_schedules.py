@@ -28,6 +28,7 @@ from countercollusion.protocol import (
     Schedule,
     Task,
     run_scenario,
+    setup,
 )
 
 PARAMS = Params(w=100, c=10, ch=201, d=212, t=309, b=5)
@@ -73,6 +74,7 @@ def main(argv=None) -> int:
     parser.add_argument("--group", choices=("toy", "secp256k1"), default="toy")
     args = parser.parse_args(argv)
 
+    gp = setup(args.group)
     rng = random.Random(args.seed)
     accepted = rejected = 0
     labels: collections.Counter = collections.Counter()
@@ -83,8 +85,8 @@ def main(argv=None) -> int:
         s1, s2 = random_strategies(rng)
         valid = schedule_is_valid(sched)
         try:
-            out = run_scenario(PARAMS, Task(), s1, s2, seed=rng.randrange(2**32),
-                               group=args.group, schedule=sched)
+            out = run_scenario(PARAMS, Task(), s1, s2, gp, seed=rng.randrange(2**32),
+                               schedule=sched)
         except ScenarioError as exc:
             if exc.code != "invalid-schedule":
                 problems.append(f"trial {trial}: unexpected error {exc.code}")

@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 
+from countercollusion.crypto import GroupParams, setup
 from countercollusion.gametheory import (
     GAME_IDS,
     analyze_reference,
@@ -35,12 +36,12 @@ PARAM_SETS = {
 }
 
 
-def equilibrium_table(group: str) -> list[dict]:
+def equilibrium_table(gp: GroupParams) -> list[dict]:
     rows = []
     for label, params in PARAM_SETS.items():
         for gid in GAME_IDS:
             analysis = analyze_reference(gid, params)
-            cells, mismatches = payoff_crosscheck(gid, params, group=group)
+            cells, mismatches = payoff_crosscheck(analysis.game, gp)
             rows.append({
                 "params": label,
                 "game": gid,
@@ -79,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     args = parser.parse_args(argv)
 
-    table = equilibrium_table(args.group)
+    table = equilibrium_table(setup(args.group))
     sweep = deposit_sweep()
 
     if args.json:

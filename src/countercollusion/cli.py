@@ -30,6 +30,7 @@ from . import CodedError
 from .crypto import (
     CryptoError,
     EqProof,
+    GroupParams,
     NeqProof,
     Opening,
     commit,
@@ -239,10 +240,10 @@ def cmd_check_params(args) -> int:
     return 0 if not violations else 2
 
 
-def _run_one(scenario: dict, group: str) -> dict:
-    outcome = run_scenario(group=group, **scenario)
+def _run_one(scenario: dict, gp: GroupParams) -> dict:
+    outcome = run_scenario(gp=gp, **scenario)
     return {
-        "group": group,
+        "group": gp.group_id,
         "seed": scenario["seed"],
         "params": _params_dict(scenario["params"]),
         "strategies": {
@@ -267,7 +268,7 @@ def cmd_run(args) -> int:
     scenario = _scenario_from_dict(config)
     if args.seed is not None:
         scenario["seed"] = args.seed
-    report = _run_one(scenario, args.group)
+    report = _run_one(scenario, setup(args.group))
     if not args.transcript:
         del report["transcript"]
     _emit(report, args.out)
@@ -283,10 +284,11 @@ def cmd_batch(args) -> int:
         entries = config
     if not isinstance(entries, list) or not entries:
         raise ConfigError("batch config must hold a non-empty list of scenarios")
+    gp = setup(args.group)
     results, failed = [], 0
     for idx, entry in enumerate(entries):
         try:
-            report = _run_one(_scenario_from_dict(entry), args.group)
+            report = _run_one(_scenario_from_dict(entry), gp)
             del report["transcript"]
             results.append(report)
         except (ConfigError, ScenarioError) as exc:
@@ -340,7 +342,7 @@ def cmd_analyze(args) -> int:
         crosscheck = {"skipped": "parameters are invalid", "cells": 0, "mismatches": []}
         crosscheck_ok = True
     else:
-        cells, mismatches = payoff_crosscheck(args.game, params, group=args.group,
+        cells, mismatches = payoff_crosscheck(analysis.game, setup(args.group),
                                               seed=args.seed if args.seed is not None else 7)
         crosscheck = {"cells": cells, "mismatches": mismatches}
         crosscheck_ok = not mismatches

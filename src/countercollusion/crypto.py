@@ -121,9 +121,12 @@ class _ToyGroup:
 
     def mul(self, k: int, a: int, *more: int) -> int:
         """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``."""
-        r = 1
-        for k, a in _terms(k, a, more):
-            r = r * pow(a, k % self.q, self.p) % self.p
+        if len(more) % 2:
+            raise ValueError("mul takes (scalar, element) pairs")
+        p, q = self.p, self.q
+        r = pow(a, k % q, p)
+        for i in range(0, len(more), 2):
+            r = r * pow(more[i + 1], more[i] % q, p) % p
         return r
 
     def is_member(self, a: object) -> bool:

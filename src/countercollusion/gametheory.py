@@ -737,7 +737,7 @@ def check_consistency(
 
 
 class AnalysisReport(NamedTuple):
-    game_id: str
+    game: Game
     params_violations: tuple[str, ...]
     rationality: RationalityReport
     residuals: Mapping[int, Fraction]
@@ -761,7 +761,8 @@ def analyze_reference(
     game_id: str, params: Params, ks: tuple[int, ...] = (10, 100, 1000, 10**7)
 ) -> AnalysisReport:
     """Build the game, its reference equilibrium, and run both equilibrium
-    checks plus parameter validation."""
+    checks plus parameter validation.  The report holds the game, for
+    ``payoff_crosscheck``."""
     game = build_game(game_id, params)
     assessment = reference_equilibrium(game)
     rationality = check_sequential_rationality(game, assessment)
@@ -776,7 +777,7 @@ def analyze_reference(
             f"z + d = {bound} ({status})"
         )
     return AnalysisReport(
-        game_id=game_id,
+        game=game,
         params_violations=tuple(validate_params(params)),
         rationality=rationality,
         residuals=residuals,
@@ -815,26 +816,24 @@ def _scenario_grid(game: Game):
                traitor_enabled)
 
 
-def payoff_crosscheck(
-    game_id: str, params: Params, group: str = "toy", seed: int = 7
-) -> tuple[int, list[dict]]:
-    """Replay every terminal of the game tree as a full contract scenario and
-    compare terminal labels and exact money deltas against the tree.
+def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:
+    """Replay every terminal of ``game`` as a full contract scenario at the
+    game's parameters, every one over the group ``gp`` (a
+    ``crypto.GroupParams``), and compare terminal labels and exact money
+    deltas against the tree.
 
     Returns ``(cells checked, mismatches)``; an empty mismatch list means the
     game tree and the executable protocol agree everywhere.
     """
     from .protocol import Task, run_scenario
 
-    game = build_game(game_id, params)
+    params = game.params
     task = Task()
     mismatches: list[dict] = []
     cells = 0
     for nid, s1, s2, traitor_enabled in _scenario_grid(game):
         node = game.nodes[nid]
-        out = run_scenario(
-            params, task, s1, s2, seed=seed, group=group, traitor_enabled=traitor_enabled
-        )
+        out = run_scenario(params, task, s1, s2, gp, seed=seed, traitor_enabled=traitor_enabled)
         cells += 1
         expected = (int(node.utilities[0]), int(node.utilities[1]))
         actual = (out.deltas["cloud1"], out.deltas["cloud2"])

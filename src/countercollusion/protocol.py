@@ -1,8 +1,8 @@
 """Party drivers: play a full outsourcing scenario against the contracts.
 
 ``run_scenario`` wires up a client, two clouds, an arbiter, and a cost sink
-on a fresh ledger, then drives one engagement end to end under configurable
-cloud strategies:
+on a fresh ledger over a given commitment group, then drives one engagement
+end to end under configurable cloud strategies:
 
 * ``coalition_role`` -- whether a cloud tries to initiate a bribery
   coalition, accepts/rejects one, or stays out of coalition politics;
@@ -38,7 +38,7 @@ from .contracts import (
     TCState,
     TraitorsContract,
 )
-from .crypto import CryptoError, Opening, commit, digest, prove_eq, prove_neq, setup
+from .crypto import CryptoError, GroupParams, Opening, commit, digest, prove_eq, prove_neq, setup
 from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -52,6 +52,7 @@ __all__ = [
     "Outcome",
     "ScenarioError",
     "run_scenario",
+    "setup",
     "ttp_resolve",
 ]
 
@@ -266,11 +267,18 @@ def run_scenario(
     task: Task,
     strat1: CloudStrategy,
     strat2: CloudStrategy,
+    gp: GroupParams,
     seed: int = 0,
-    group: str = "toy",
     traitor_enabled: Optional[bool] = None,
     schedule: Optional[Schedule] = None,
 ) -> Outcome:
+    """Play one engagement under ``strat1``/``strat2`` and label its outcome.
+
+    Every commitment and proof of the run is made over ``gp``.  It depends
+    only on the group, so a caller builds it once with ``setup``
+    (re-exported here) and passes it to every scenario it runs.  ``seed``
+    fixes the blindings and the derived wrong values.
+    """
     violations = validate_params(params)
     if violations:
         raise ScenarioError("invalid-params", "; ".join(violations))
@@ -287,7 +295,6 @@ def run_scenario(
     if strat1.coalition_role is Role.INITIATE and strat2.coalition_role is Role.INITIATE:
         raise ScenarioError("inconsistent-strategies", "two initiators")
 
-    gp = setup(group, b"\x01")
     rng = random.Random(seed)
     task_cost = params.c if task.cost is None else task.cost
     if task_cost <= 0:

@@ -130,7 +130,7 @@ def test_criterion_1_payoff_tables_match_contract_execution():
     for label, params in PARAM_SETS.items():
         assert validate_params(params) == [], f"{label} must be a valid parameter set"
         for gid in GAME_IDS:
-            cells, bad = payoff_crosscheck(gid, params, group="toy", seed=7)
+            cells, bad = payoff_crosscheck(build_game(gid, params), TOY, seed=7)
             total_cells += cells
             mismatches.extend((label, gid, entry) for entry in bad)
     elapsed = time.monotonic() - start
@@ -545,7 +545,7 @@ def test_criterion_7_client_outlay_never_exceeds_two_payments():
     for s1, s2 in itertools.product(strategies, strategies):
         if s1.coalition_role is Role.INITIATE and s2.coalition_role is Role.INITIATE:
             continue  # the one inconsistent pairing
-        out = run_scenario(BASE, Task(), s1, s2, seed=5, group="toy")
+        out = run_scenario(BASE, Task(), s1, s2, TOY, seed=5)
         checked += 1
         spent = -out.deltas["client"]
         if spent > 2 * BASE.w:

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from countercollusion import cli
+from countercollusion import cli, crypto, gametheory
 from countercollusion.cli import main
 
 
@@ -306,6 +307,38 @@ def test_analyze_output_is_byte_identical(capsys, tmp_path, game, t):
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     assert hashlib.sha256(out1.read_bytes()).hexdigest()[:16] == ANALYZE_DIGESTS[game, t]
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record the arguments of every call to ``fn``, through every module of
+    the package that imported it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "countercollusion":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_a_command_sets_up_one_group_and_builds_one_game(capsys, tmp_path, monkeypatch):
+    setups = _count_calls(monkeypatch, crypto.setup)
+    builds = _count_calls(monkeypatch, gametheory.build_game)
+    code, report, _ = run_cli(capsys, "analyze", "--game", "g4", "--t", "314", "--group", "toy")
+    assert code == 0 and report["crosscheck"]["cells"] == 29
+    assert (len(setups), len(builds)) == (1, 1)
+
+    setups.clear()
+    cfg = tmp_path / "batch.json"
+    cfg.write_text(json.dumps([{}, {"seed": 3}, {"cloud2": {"ctp_action": "r"}}]))
+    code, report, _ = run_cli(capsys, "batch", "--config", str(cfg), "--group", "toy")
+    assert code == 0 and report["count"] == 3
+    assert setups == [("toy",)]
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,14 @@ def test_mul_cancelling_and_repeated_bases(gp, data):
         assert mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
 
 
+@GROUPS
+def test_mul_rejects_a_scalar_without_its_element(gp):
+    for mul in _entries(gp):
+        for terms in ((3, gp.P, 5), (3, gp.P, 5, gp.Q, 7)):
+            with pytest.raises(ValueError):
+                mul(*terms)
+
+
 # ---------------------------------------------------------------------------
 # Generator tables built by setup()
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from countercollusion.crypto import setup
 from countercollusion.gametheory import (
     Assessment,
     Game,
@@ -594,7 +595,7 @@ def test_consistency_sequence_needs_k_at_least_three():
 
 @pytest.mark.parametrize("gid,cells", [("g1", 9), ("g2", 11), ("g3", 27), ("g4", 29)])
 def test_payoff_crosscheck_matches_protocol(gid, cells):
-    checked, mismatches = payoff_crosscheck(gid, BASE)
+    checked, mismatches = payoff_crosscheck(build_game(gid, BASE), setup("toy"))
     assert checked == cells
     assert mismatches == []
 

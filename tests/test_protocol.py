@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from countercollusion.crypto import setup
 from countercollusion.ledger import Params
 from countercollusion.protocol import (
     CloudStrategy,
@@ -27,6 +28,7 @@ W, C, CH, D, T, B = 100, 10, 201, 212, 309, 5
 Z = W - C + D - CH  # 101
 BASE = Params(w=W, c=C, ch=CH, d=D, t=T, b=B)
 TASK = Task()
+TOY = setup("toy")
 
 ACTIONS = (CtpAction.FX, CtpAction.R, CtpAction.OTHER)
 
@@ -37,6 +39,7 @@ def strat(role=Role.HONEST, report=ReportChoice.NO_REPORT, action=CtpAction.FX):
 
 def run(s1, s2, **kw):
     kw.setdefault("seed", 7)
+    kw.setdefault("gp", TOY)
     return run_scenario(BASE, TASK, s1, s2, **kw)
 
 
@@ -315,7 +318,7 @@ def test_compute_cost_charged_once_per_cloud():
 
 
 def test_task_cost_override_flows_to_sink():
-    out = run_scenario(BASE, Task(cost=25), strat(), strat(), seed=7)
+    out = run_scenario(BASE, Task(cost=25), strat(), strat(), TOY, seed=7)
     assert out.deltas["costs"] == 50
     assert out.deltas["cloud1"] == W - 25
 
@@ -328,7 +331,7 @@ def test_runs_are_deterministic():
 
 def test_group_backend_does_not_change_money():
     toy = run(strat(), strat())
-    big = run(strat(), strat(), group="secp256k1")
+    big = run(strat(), strat(), gp=setup("secp256k1"))
     assert toy.terminal_label == big.terminal_label
     assert toy.deltas == big.deltas
 
@@ -348,7 +351,7 @@ def test_reporting_needs_the_traitor_module():
 def test_invalid_params_rejected():
     bad = Params(w=W, c=C, ch=199, d=D, t=T, b=B)
     with pytest.raises(ScenarioError) as err:
-        run_scenario(bad, TASK, strat(), strat())
+        run_scenario(bad, TASK, strat(), strat(), TOY)
     assert err.value.code == "invalid-params"
 
 
@@ -404,7 +407,8 @@ def test_unknown_task_kind_rejected():
 
 
 def test_arithmetic_task_can_back_a_full_run():
-    out = run_scenario(BASE, Task(kind="arithmetic-expression", x="12", expr="x**3 - x"), strat(), strat(), seed=3)
+    task = Task(kind="arithmetic-expression", x="12", expr="x**3 - x")
+    out = run_scenario(BASE, task, strat(), strat(), TOY, seed=3)
     assert out.terminal_label == "G1:v4"
     assert out.deltas["cloud1"] == W - C
 
@@ -449,7 +453,7 @@ def test_scenario_runs_are_byte_identical():
     for s1, s2 in pairs[::10]:
         for traitor_enabled in (None, True, False):
             try:
-                out = run_scenario(BASE, TASK, s1, s2, seed=5, group="toy",
+                out = run_scenario(BASE, TASK, s1, s2, TOY, seed=5,
                                    traitor_enabled=traitor_enabled)
                 run = [out.terminal_label, out.game_family, out.deltas, out.roles,
                        list(out.transcript), list(out.settlement_clauses)]

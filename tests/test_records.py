@@ -40,6 +40,7 @@ from countercollusion.gametheory import (
     NodeCheck,
     RationalityReport,
     _Family,
+    build_game,
 )
 from countercollusion.ledger import AccountId, Ledger, Params
 from countercollusion.protocol import (
@@ -53,6 +54,9 @@ from countercollusion.protocol import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A game is equal only to itself, so both samples of a report share one.
+_G1 = build_game("g1", Params(w=100, c=10, ch=201, d=212, t=309, b=5))
 
 
 def _rationality():
@@ -77,7 +81,7 @@ SAMPLES = {
     InfoSetCheck: lambda: InfoSetCheck("I1", 1, Fraction(0), {"r": Fraction(-1)},
                                        Fraction(0), True, True, True, ()),
     RationalityReport: _rationality,
-    AnalysisReport: lambda: AnalysisReport("g1", (), _rationality(), {10: Fraction(0)},
+    AnalysisReport: lambda: AnalysisReport(_G1, (), _rationality(), {10: Fraction(0)},
                                            {"G1:v1": Fraction(1)}, ()),
     CloudStrategy: lambda: CloudStrategy(Role.INITIATE, ReportChoice.NO_REPORT, CtpAction.R),
     Task: lambda: Task("arithmetic-expression", "3", 2, "x*x"),
