@@ -23,7 +23,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import CodedError
@@ -201,14 +200,8 @@ def _params_from_args(args) -> Params:
 # ---------------------------------------------------------------------------
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _emit(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -300,6 +293,7 @@ def cmd_batch(args) -> int:
 
 
 def _serialize_rationality(report) -> dict:
+    # each exact value (an int or a Fraction) is written as its str: "-213", "1/5"
     info_sets = []
     for check in report.checks:
         flags = [
@@ -307,17 +301,17 @@ def _serialize_rationality(report) -> dict:
                 "node": nc.node_id,
                 "action": nc.action,
                 "relation": nc.relation,
-                "value": nc.value,
-                "equilibrium_value": nc.eq_value,
+                "value": str(nc.value),
+                "equilibrium_value": str(nc.eq_value),
             }
             for nc in check.node_checks if nc.relation != "worse"
         ]
         info_sets.append({
             "set_id": check.set_id,
             "player": check.player,
-            "equilibrium_value": check.eq_value,
-            "one_shot_values": dict(check.one_shot_values),
-            "full_deviation_max_gain": check.full_deviation_max_gain,
+            "equilibrium_value": str(check.eq_value),
+            "one_shot_values": {a: str(v) for a, v in check.one_shot_values.items()},
+            "full_deviation_max_gain": str(check.full_deviation_max_gain),
             "weak_ok": check.weak_ok,
             "strict_ok": check.strict_ok,
             "nodes_ok": check.nodes_ok,
@@ -354,10 +348,10 @@ def cmd_analyze(args) -> int:
         "params_violations": list(analysis.params_violations),
         "rationality": _serialize_rationality(analysis.rationality),
         "consistency": {
-            "residuals": {str(k): residual for k, residual in analysis.residuals.items()},
+            "residuals": {str(k): str(residual) for k, residual in analysis.residuals.items()},
             "ok": analysis.consistency_ok,
         },
-        "outcome": dict(analysis.outcome),
+        "outcome": {label: str(pr) for label, pr in analysis.outcome.items()},
         "crosscheck": crosscheck,
         "notes": list(analysis.notes),
         "equilibrium_ok": analysis.equilibrium_ok,
@@ -481,53 +475,71 @@ def _group(name: str) -> str:
     return name
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_group_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--group", type=_group, choices=_GROUPS,
+                        default=os.environ.get("COUNTERCOLLUSION_GROUP", "toy"))
+
+
+def _run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="JSON scenario config")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    _add_group_flag(parser)
+    parser.add_argument("--transcript", action="store_true", help="include the ledger log")
+
+
+def _analyze_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--game", choices=GAME_IDS, required=True)
+    _add_param_flags(parser)
+    parser.add_argument("--seed", type=int, help="seed for the protocol crosscheck")
+    _add_group_flag(parser)
+    parser.add_argument("--kmax", type=int, default=10**7,
+                        help="largest k in the consistency ladder")
+
+
+def _selftest_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--group", choices=_GROUPS + ("both",), default="both")
+
+
+def _batch_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="JSON file with a scenario list")
+    _add_group_flag(parser)
+
+
+#: name -> (help, the flags before ``--out``, handler), in ``--help`` order
+_COMMANDS = {
+    "check-params": ("validate monetary parameters", _add_param_flags, cmd_check_params),
+    "run": ("run one contract scenario", _run_flags, cmd_run),
+    "analyze": ("machine-check a game's reference equilibrium", _analyze_flags, cmd_analyze),
+    "crypto-selftest": ("exercise commitments and proofs", _selftest_flags, cmd_crypto_selftest),
+    "batch": ("run many scenarios from one config", _batch_flags, cmd_batch),
+}
+
+
+def _build_parser(commands: tuple[str, ...] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser with a subparser for each of ``commands``.  Its usage
+    line names all five commands even when fewer are built, so the usage
+    errors of a partial parser read as the full one's."""
     parser = argparse.ArgumentParser(
         prog="countercollusion",
         description="Contract-based counter-collusion simulator and verifier",
     )
-    default_group = os.environ.get("COUNTERCOLLUSION_GROUP", "toy")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-params", help="validate monetary parameters")
-    _add_param_flags(p)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=cmd_check_params)
-
-    p = sub.add_parser("run", help="run one contract scenario")
-    p.add_argument("--config", help="JSON scenario config")
-    p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
-    p.add_argument("--transcript", action="store_true", help="include the ledger log")
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("analyze", help="machine-check a game's reference equilibrium")
-    p.add_argument("--game", choices=GAME_IDS, required=True)
-    _add_param_flags(p)
-    p.add_argument("--seed", type=int, help="seed for the protocol crosscheck")
-    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
-    p.add_argument("--kmax", type=int, default=10**7,
-                   help="largest k in the consistency ladder")
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("crypto-selftest", help="exercise commitments and proofs")
-    p.add_argument("--group", choices=_GROUPS + ("both",), default="both")
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=cmd_crypto_selftest)
-
-    p = sub.add_parser("batch", help="run many scenarios from one config")
-    p.add_argument("--config", required=True, help="JSON file with a scenario list")
-    p.add_argument("--group", type=_group, choices=_GROUPS, default=default_group)
-    p.add_argument("--out", help="write the JSON report to this file")
-    p.set_defaults(func=cmd_batch)
-
+    every = "{%s}" % ",".join(_COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if len(commands) == len(_COMMANDS) else every)
+    for name in commands:
+        help_text, add_flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.add_argument("--out", help="write the JSON report to this file")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # build the named command's subparser alone; all five for help or a bad name
+    named = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser((named,) if named else tuple(_COMMANDS))
     args = parser.parse_args(argv)
     try:
         return args.func(args)

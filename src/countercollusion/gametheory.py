@@ -2,8 +2,12 @@
 
 Builds the game trees induced by the contract suite (``g1`` plain
 outsourcing, ``g2`` with a bribery coalition, ``g3`` with betrayal reporting,
-``g4`` with both), evaluates behavior-strategy assessments in exact rational
-arithmetic, and machine-checks the two halves of sequential equilibrium:
+``g4`` with both), evaluates behavior-strategy assessments exactly, and
+machine-checks the two halves of sequential equilibrium.  Every value is an
+``int`` where nothing divides: utilities, pure profiles and every value
+computed from them.  A ``Fraction`` comes only from a division: the 1/k
+ladder of ``consistency_sequence``, Bayes' rule in ``bayes_beliefs``, or a
+mixed profile a caller passes in.  The two halves:
 
 * **sequential rationality** -- at every information set, the prescribed
   strategy maximizes the owner's expected payoff under the stated beliefs.
@@ -61,10 +65,6 @@ class GameError(CodedError):
     """Game-structure or assessment failure."""
 
 
-# the default of every exact sum and of every probability left out of a map
-_ZERO = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # Structure
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ class Node(NamedTuple):
     player: Optional[int] = None
     info_set: Optional[str] = None
     children: Optional[Mapping[str, str]] = None  # action -> child node id
-    utilities: Optional[tuple[Fraction, Fraction]] = None
+    utilities: Optional[tuple[int, int]] = None
     label: Optional[str] = None
 
     @property
@@ -368,8 +368,7 @@ def build_game(game_id: str, params: Params) -> Game:
             label = terminal_label(plain, 0, 0, 0)
         else:
             utilities, label = family.cell(params, *cell), f"{game_id.upper()}:{nid}"
-        nodes[nid] = Node(nid, utilities=(Fraction(utilities[0]), Fraction(utilities[1])),
-                          label=label)
+        nodes[nid] = Node(nid, utilities=utilities, label=label)
     return Game(game_id, params, nodes, dict(info_sets))
 
 
@@ -381,8 +380,8 @@ def build_game(game_id: str, params: Params) -> Game:
 class Assessment(NamedTuple):
     """A behavior-strategy profile plus a belief system, both per info set."""
 
-    profile: Mapping[str, Mapping[str, Fraction]]
-    beliefs: Mapping[str, Mapping[str, Fraction]]
+    profile: Mapping[str, Mapping[str, int | Fraction]]
+    beliefs: Mapping[str, Mapping[str, int | Fraction]]
 
 
 def validate_assessment(game: Game, assessment: Assessment) -> None:
@@ -399,8 +398,8 @@ def validate_assessment(game: Game, assessment: Assessment) -> None:
             raise GameError("bad-assessment", f"beliefs not a distribution at {iset.set_id}")
 
 
-def _pure(action: str, actions: tuple[str, ...]) -> dict[str, Fraction]:
-    return {a: Fraction(1 if a == action else 0) for a in actions}
+def _pure(action: str, actions: tuple[str, ...]) -> dict[str, int]:
+    return {a: int(a == action) for a in actions}
 
 
 def reference_equilibrium(game: Game) -> Assessment:
@@ -429,7 +428,7 @@ def reference_equilibrium(game: Game) -> Assessment:
                for set_id, iset in game.info_sets.items()}
     beliefs = {}
     for set_id, iset in game.info_sets.items():
-        beliefs[set_id] = {iset.nodes[0]: Fraction(1)}
+        beliefs[set_id] = {iset.nodes[0]: 1}
         if len(iset.nodes) > 1:
             into = [game.parents[h] for h in iset.nodes]
             beliefs[set_id] = {h: profile[game.nodes[parent].info_set][action]
@@ -444,73 +443,67 @@ def reference_equilibrium(game: Game) -> Assessment:
 # ---------------------------------------------------------------------------
 
 
-def node_value(game: Game, node_id: str, profile: Mapping, player: int) -> Fraction:
+def node_value(game: Game, node_id: str, profile: Mapping, player: int) -> int | Fraction:
     """Expected payoff for ``player`` when play starts at ``node_id`` and
     everyone follows ``profile``."""
     node = game.nodes[node_id]
     if node.is_terminal:
         return node.utilities[player - 1]
     dist = profile[node.info_set]
-    return sum(
-        (pr * node_value(game, node.children[a], profile, player)
-         for a, pr in dist.items() if pr),
-        _ZERO,
-    )
+    return sum(pr * node_value(game, node.children[a], profile, player)
+               for a, pr in dist.items() if pr)
 
 
-def _node_values(game: Game, profile: Mapping) -> dict[str, tuple[Fraction, Fraction]]:
+def _node_values(game: Game, profile: Mapping) -> dict[str, tuple]:
     """Both players' ``node_value`` at every node under ``profile``, in one
     bottom-up pass over the tree."""
-    values: dict[str, tuple[Fraction, Fraction]] = {}
+    values: dict[str, tuple] = {}
 
-    def visit(nid: str) -> tuple[Fraction, Fraction]:
+    def visit(nid: str) -> tuple:
         node = game.nodes[nid]
         if node.is_terminal:
             values[nid] = node.utilities
         else:
             below = {a: visit(child) for a, child in node.children.items()}
             weighted = [(pr, below[a]) for a, pr in profile[node.info_set].items() if pr]
-            values[nid] = (sum((pr * u[0] for pr, u in weighted), _ZERO),
-                           sum((pr * u[1] for pr, u in weighted), _ZERO))
+            values[nid] = (sum(pr * u[0] for pr, u in weighted),
+                           sum(pr * u[1] for pr, u in weighted))
         return values[nid]
 
     visit(game.root)
     return values
 
 
-def expected_payoff(game: Game, assessment: Assessment, set_id: str) -> Fraction:
+def expected_payoff(game: Game, assessment: Assessment, set_id: str) -> int | Fraction:
     """Belief-weighted expected payoff of the info set's owner."""
     iset, beliefs = game.info_sets[set_id], assessment.beliefs[set_id]
-    return sum(
-        (beliefs.get(h, _ZERO) * node_value(game, h, assessment.profile, iset.player)
-         for h in iset.nodes),
-        _ZERO,
-    )
+    return sum(beliefs.get(h, 0) * node_value(game, h, assessment.profile, iset.player)
+               for h in iset.nodes)
 
 
-def outcome_distribution(game: Game, profile: Mapping) -> dict[str, Fraction]:
+def outcome_distribution(game: Game, profile: Mapping) -> dict[str, int | Fraction]:
     """Probability of each terminal node when play starts at the root."""
-    dist: dict[str, Fraction] = {}
-    stack: list[tuple[str, Fraction]] = [(game.root, Fraction(1))]
+    dist: dict[str, int | Fraction] = {}
+    stack: list[tuple[str, int | Fraction]] = [(game.root, 1)]
     while stack:
         nid, pr = stack.pop()
         node = game.nodes[nid]
         if node.is_terminal:
-            dist[nid] = dist.get(nid, _ZERO) + pr
+            dist[nid] = dist.get(nid, 0) + pr
             continue
         for action, child in node.children.items():
-            p_a = profile[node.info_set].get(action, _ZERO)
+            p_a = profile[node.info_set].get(action, 0)
             if p_a:
                 stack.append((child, pr * p_a))
     return dist
 
 
-def play(game: Game, profile: Mapping) -> dict[str, Fraction]:
+def play(game: Game, profile: Mapping) -> dict[str, int | Fraction]:
     """Distribution over terminal labels when everyone follows ``profile``."""
-    labels: dict[str, Fraction] = {}
+    labels: dict[str, int | Fraction] = {}
     for nid, pr in outcome_distribution(game, profile).items():
         label = game.nodes[nid].label
-        labels[label] = labels.get(label, _ZERO) + pr
+        labels[label] = labels.get(label, 0) + pr
     return labels
 
 
@@ -529,17 +522,17 @@ _NODE_TIE_EXEMPT: dict[str, frozenset[tuple[str, str]]] = {
 class NodeCheck(NamedTuple):
     node_id: str
     action: str
-    value: Fraction
-    eq_value: Fraction
+    value: int | Fraction
+    eq_value: int | Fraction
     relation: str  # "worse" | "tie-exempt" | "tie" | "better"
 
 
 class InfoSetCheck(NamedTuple):
     set_id: str
     player: int
-    eq_value: Fraction
-    one_shot_values: Mapping[str, Fraction]
-    full_deviation_max_gain: Fraction
+    eq_value: int | Fraction
+    one_shot_values: Mapping[str, int | Fraction]
+    full_deviation_max_gain: int | Fraction
     weak_ok: bool
     strict_ok: bool
     nodes_ok: bool
@@ -558,14 +551,14 @@ class RationalityReport(NamedTuple):
         return self.weak_ok and self.strict_ok and self.nodes_ok
 
 
-def _best_response(game: Game, set_id: str, weights: Mapping, profile: Mapping) -> Fraction:
+def _best_response(game: Game, set_id: str, weights: Mapping, profile: Mapping) -> int | Fraction:
     """The owner's best pure continuation value from ``set_id``, its nodes
     weighted by ``weights`` and everyone else following ``profile``.  Under
     perfect recall each later info set of the owner follows one action here,
     so the sets below separate and are maximised one by one."""
     iset, values = game.info_sets[set_id], []
     for action in iset.actions:
-        value, below = Fraction(0), collections.defaultdict(dict)
+        value, below = 0, collections.defaultdict(dict)
         stack = [(game.nodes[h].children[action], w) for h, w in weights.items() if w]
         while stack:
             nid, w = stack.pop()
@@ -608,12 +601,12 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
         support = {a for a, pr in assessment.profile[set_id].items() if pr}
         # (node, its owner's value under the profile, its children)
         nodes = [(h, values[h][player - 1], game.nodes[h].children) for h in iset.nodes]
-        eq_value = sum((beliefs.get(h, _ZERO) * eq_h for h, eq_h, _ in nodes), _ZERO)
+        eq_value = sum(beliefs.get(h, 0) * eq_h for h, eq_h, _ in nodes)
 
         # one-shot deviations at this set
         one_shot = {
-            action: sum((beliefs.get(h, _ZERO) * values[children[action]][player - 1]
-                         for h, _, children in nodes), _ZERO)
+            action: sum(beliefs.get(h, 0) * values[children[action]][player - 1]
+                        for h, _, children in nodes)
             for action in iset.actions
         }
         strict_ok = all(
@@ -668,21 +661,22 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
 def bayes_beliefs(game: Game, profile: Mapping) -> dict[str, dict[str, Fraction]]:
     """Beliefs induced by Bayes' rule from the reach probabilities of the
     decision nodes."""
-    reach: dict[str, Fraction] = {game.root: Fraction(1)}
+    reach: dict[str, int | Fraction] = {game.root: 1}
 
-    def reach_of(nid: str) -> Fraction:
+    def reach_of(nid: str) -> int | Fraction:
         if nid not in reach:
             parent, action = game.parents[nid]
             dist = profile[game.nodes[parent].info_set]
-            reach[nid] = reach_of(parent) * dist.get(action, _ZERO)
+            reach[nid] = reach_of(parent) * dist.get(action, 0)
         return reach[nid]
 
     beliefs: dict[str, dict[str, Fraction]] = {}
     for iset in game.info_sets.values():
-        total = sum((reach_of(h) for h in iset.nodes), _ZERO)
+        total = sum(reach_of(h) for h in iset.nodes)
         if total == 0:
             raise GameError("unreachable-info-set", iset.set_id)
-        beliefs[iset.set_id] = {h: reach[h] / total for h in iset.nodes}
+        # Fraction, not ``/``: two int reaches would divide to a float
+        beliefs[iset.set_id] = {h: Fraction(reach[h], total) for h in iset.nodes}
     return beliefs
 
 
@@ -692,36 +686,28 @@ def consistency_sequence(game: Game, assessment: Assessment, k: int) -> Assessme
     1/k; beliefs follow by exact Bayes' rule."""
     if k < 3:
         raise GameError("bad-k", "need k >= 3")
+    eps = Fraction(1, k)
     profile: dict[str, dict[str, Fraction]] = {}
     for iset in game.info_sets.values():
         dist = assessment.profile[iset.set_id]
         star = max(dist, key=dist.get)
-        n = len(iset.actions)
-        profile[iset.set_id] = {
-            a: (1 - Fraction(n - 1, k)) if a == star else Fraction(1, k)
-            for a in iset.actions
-        }
+        kept = 1 - (len(iset.actions) - 1) * eps
+        profile[iset.set_id] = {a: kept if a == star else eps for a in iset.actions}
     return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
 
 
-def assessment_distance(game: Game, a: Assessment, b: Assessment) -> Fraction:
+def assessment_distance(game: Game, a: Assessment, b: Assessment) -> int | Fraction:
     """Sup-norm distance across all strategy and belief entries."""
-    gap = _ZERO
-    for iset in game.info_sets.values():
-        for key in iset.actions:
-            gap = max(gap, abs(
-                a.profile[iset.set_id].get(key, _ZERO) - b.profile[iset.set_id].get(key, _ZERO)
-            ))
-        for key in iset.nodes:
-            gap = max(gap, abs(
-                a.beliefs[iset.set_id].get(key, _ZERO) - b.beliefs[iset.set_id].get(key, _ZERO)
-            ))
-    return gap
+    return max((abs(x[s].get(key, 0) - y[s].get(key, 0))
+                for s, iset in game.info_sets.items()
+                for x, y, keys in ((a.profile, b.profile, iset.actions),
+                                   (a.beliefs, b.beliefs, iset.nodes))
+                for key in keys), default=0)
 
 
 def check_consistency(
     game: Game, assessment: Assessment, ks: tuple[int, ...] = (10, 100, 1000, 10**7)
-) -> dict[int, Fraction]:
+) -> dict[int, int | Fraction]:
     """Residual sup-distance between the k-th fully-mixed approximation and
     the assessment, per k.  For the reference equilibria this is exactly
     2/k, witnessing consistency in the limit."""
@@ -740,8 +726,8 @@ class AnalysisReport(NamedTuple):
     game: Game
     params_violations: tuple[str, ...]
     rationality: RationalityReport
-    residuals: Mapping[int, Fraction]
-    outcome: Mapping[str, Fraction]
+    residuals: Mapping[int, int | Fraction]
+    outcome: Mapping[str, int | Fraction]
     notes: tuple[str, ...]
 
     @property
@@ -822,27 +808,28 @@ def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:
     ``crypto.GroupParams``), and compare terminal labels and exact money
     deltas against the tree.
 
+    Every cell is the play ``run_scenario`` makes, each on its own ledger;
+    the engagement they share is checked and derived once.
+
     Returns ``(cells checked, mismatches)``; an empty mismatch list means the
     game tree and the executable protocol agree everywhere.
     """
-    from .protocol import Task, run_scenario
+    from .protocol import Task, _engage, _play
 
-    params = game.params
-    task = Task()
+    engagement = _engage(game.params, Task(), gp, seed, None)
     mismatches: list[dict] = []
     cells = 0
     for nid, s1, s2, traitor_enabled in _scenario_grid(game):
         node = game.nodes[nid]
-        out = run_scenario(params, task, s1, s2, gp, seed=seed, traitor_enabled=traitor_enabled)
+        out = _play(engagement, s1, s2, traitor_enabled)
         cells += 1
-        expected = (int(node.utilities[0]), int(node.utilities[1]))
         actual = (out.deltas["cloud1"], out.deltas["cloud2"])
-        if out.terminal_label != node.label or actual != expected:
+        if out.terminal_label != node.label or actual != node.utilities:
             mismatches.append({
                 "node": nid,
                 "expected_label": node.label,
                 "actual_label": out.terminal_label,
-                "expected_deltas": expected,
+                "expected_deltas": node.utilities,
                 "actual_deltas": actual,
             })
     return cells, mismatches

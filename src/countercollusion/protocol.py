@@ -38,7 +38,8 @@ from .contracts import (
     TCState,
     TraitorsContract,
 )
-from .crypto import CryptoError, GroupParams, Opening, commit, digest, prove_eq, prove_neq, setup
+from .crypto import (Commitment, CryptoError, GroupParams, Opening, commit, digest, prove_eq,
+                     prove_neq, setup)
 from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -258,8 +259,58 @@ def ttp_resolve(ctp: PrisonersContract, task: Task, received: dict[AccountId, Op
 # ---------------------------------------------------------------------------
 
 
-def _action_index(action: CtpAction) -> int:
-    return {CtpAction.FX: 0, CtpAction.R: 1, CtpAction.OTHER: 2, CtpAction.WITHHOLD: 2}[action]
+#: the delivery index of each action in a terminal's payoff cell
+_ACTION_INDEX = {CtpAction.FX: 0, CtpAction.R: 1, CtpAction.OTHER: 2, CtpAction.WITHHOLD: 2}
+#: the report index ``rho`` of each choice (0 = no report)
+_REPORT_INDEX = {choice: rho for rho, choice in enumerate(ReportChoice)}
+
+_CLIENT, _TTP = AccountId("client"), AccountId("ttp")
+_CLOUDS = (AccountId("cloud1"), AccountId("cloud2"))
+_COSTS = AccountId("costs", kind="sink")
+
+
+class _Engagement(NamedTuple):
+    """What every play of one engagement shares, whatever the strategies:
+    the checked parameters, task and schedule, the derived values and their
+    digests, the funding, and the two commitments the outsourcing contract
+    is created with."""
+
+    params: Params
+    task: Task
+    gp: GroupParams
+    seed: int
+    schedule: Schedule
+    task_cost: Money
+    funding: dict[AccountId, Money]
+    values: dict[str, bytes]
+    m_true: int
+    m_r: int
+    com_f: Commitment
+    com_x: Commitment
+
+
+def _engage(params: Params, task: Task, gp: GroupParams, seed: int,
+            schedule: Optional[Schedule]) -> _Engagement:
+    """Check the engagement and derive what every play of it shares."""
+    violations = validate_params(params)
+    if violations:
+        raise ScenarioError("invalid-params", "; ".join(violations))
+    sched = schedule or Schedule()
+    if not (2 <= sched.T1 < sched.T2 < sched.T3 < sched.T5 and 4 < sched.T4 < sched.T2 and sched.T2 > 5 and sched.T3 > sched.T2 + 1):
+        raise ScenarioError("invalid-schedule", f"{sched}")
+    task_cost = params.c if task.cost is None else task.cost
+    if task_cost <= 0:
+        raise ScenarioError("invalid-task", "cost must be positive")
+    stake = params.d + params.t + params.b + params.ch + task_cost
+    funding = {_CLIENT: 3 * params.w + 2 * params.d, _CLOUDS[0]: stake, _CLOUDS[1]: stake,
+               _TTP: 0, _COSTS: 0}
+    values = _derive_distinct_values(gp, task, seed)
+    # the first two draws of the play's stream: ``_play`` skips them
+    rng = random.Random(seed)
+    com_f = commit(gp, digest(gp, task.description_bytes()), rng.randrange(gp.q))
+    com_x = commit(gp, digest(gp, task.input_bytes()), rng.randrange(gp.q))
+    return _Engagement(params, task, gp, seed, sched, task_cost, funding, values,
+                      digest(gp, values["y_true"]), digest(gp, values["r"]), com_f, com_x)
 
 
 def run_scenario(
@@ -279,13 +330,13 @@ def run_scenario(
     (re-exported here) and passes it to every scenario it runs.  ``seed``
     fixes the blindings and the derived wrong values.
     """
-    violations = validate_params(params)
-    if violations:
-        raise ScenarioError("invalid-params", "; ".join(violations))
-    sched = schedule or Schedule()
-    if not (2 <= sched.T1 < sched.T2 < sched.T3 < sched.T5 and 4 < sched.T4 < sched.T2 and sched.T2 > 5 and sched.T3 > sched.T2 + 1):
-        raise ScenarioError("invalid-schedule", f"{sched}")
+    return _play(_engage(params, task, gp, seed, schedule), strat1, strat2, traitor_enabled)
 
+
+def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
+          traitor_enabled: Optional[bool]) -> Outcome:
+    """One play of ``eng`` on a fresh ledger, with fresh contracts and the
+    seed's own random stream."""
     reports = (strat1.report_choice, strat2.report_choice)
     any_report = any(rc is not ReportChoice.NO_REPORT for rc in reports)
     if traitor_enabled is None:
@@ -295,36 +346,20 @@ def run_scenario(
     if strat1.coalition_role is Role.INITIATE and strat2.coalition_role is Role.INITIATE:
         raise ScenarioError("inconsistent-strategies", "two initiators")
 
+    gp, task, sched, seed, params = eng.gp, eng.task, eng.schedule, eng.seed, eng.params
     rng = random.Random(seed)
-    task_cost = params.c if task.cost is None else task.cost
-    if task_cost <= 0:
-        raise ScenarioError("invalid-task", "cost must be positive")
-
-    client = AccountId("client")
-    clouds = (AccountId("cloud1"), AccountId("cloud2"))
-    ttp = AccountId("ttp")
-    costs = AccountId("costs", kind="sink")
-    w, c, ch, d, t, b = params.w, task_cost, params.ch, params.d, params.t, params.b
-    funding = {
-        client: 3 * w + 2 * d,
-        clouds[0]: d + t + b + ch + c,
-        clouds[1]: d + t + b + ch + c,
-        ttp: 0,
-        costs: 0,
-    }
-    ledger = Ledger(dict(funding))
+    rng.randrange(gp.q), rng.randrange(gp.q)  # the blindings of com_f and com_x
+    client, clouds, ttp, costs = _CLIENT, _CLOUDS, _TTP, _COSTS
+    w, c, ch, d, t, b = params.w, eng.task_cost, params.ch, params.d, params.t, params.b
+    ledger = Ledger(eng.funding)
     initial = ledger.snapshot()
 
-    values = _derive_distinct_values(gp, task, seed)
-    m_true = digest(gp, values["y_true"])
-    m_r = digest(gp, values["r"])
+    values, m_true, m_r = eng.values, eng.m_true, eng.m_r
     strategies = {clouds[0]: strat1, clouds[1]: strat2}
 
     # --- create the outsourcing contract at t=0 -----------------------------
-    com_f = commit(gp, digest(gp, task.description_bytes()), rng.randrange(gp.q))
-    com_x = commit(gp, digest(gp, task.input_bytes()), rng.randrange(gp.q))
     ctp = PrisonersContract.create(
-        ledger, gp, client, ttp, com_f, com_x, w, d, ch, sched.T1, sched.T2, sched.T3
+        ledger, gp, client, ttp, eng.com_f, eng.com_x, w, d, ch, sched.T1, sched.T2, sched.T3
     )
 
     ledger.advance_time(1)
@@ -385,7 +420,7 @@ def run_scenario(
     def charge_compute(cloud: AccountId) -> None:
         if cloud not in computed:
             computed.add(cloud)
-            ledger.transfer(cloud, costs, task_cost, tag="protocol/compute-cost")
+            ledger.transfer(cloud, costs, c, tag="protocol/compute-cost")
 
     o_prime: Optional[Opening] = None  # the reporter's side-result opening
     if ctt is not None:
@@ -462,7 +497,7 @@ def run_scenario(
             raise ScenarioError("invariant-breach", f"escrow {acct.id} holds {balance}")
 
     final = ledger.snapshot()
-    deltas = {acct.id: final.get(acct, 0) - initial.get(acct, 0) for acct in funding}
+    deltas = {acct.id: final.get(acct, 0) - initial.get(acct, 0) for acct in eng.funding}
 
     # the game has a coalition prefix iff a coalition formed and a report
     # layer iff the traitor module is on; player 2 is the responder, else the
@@ -470,8 +505,8 @@ def run_scenario(
     game_id, role_names = family_of(coalition_formed, traitor_enabled)
     second = responder if coalition_formed else reporter or clouds[1]
     players = (clouds[1 - clouds.index(second)], second)
-    act = [_action_index(strategies[cl].ctp_action) for cl in players]
-    rho = 0 if reporter is None else list(ReportChoice).index(strategies[reporter].report_choice)
+    act = [_ACTION_INDEX[strategies[cl].ctp_action] for cl in players]
+    rho = 0 if reporter is None else _REPORT_INDEX[strategies[reporter].report_choice]
     clauses = tuple(
         entry["tag"] for entry in ledger.log
         if "/pay/" in entry.get("tag", "") or "/dispute/" in entry.get("tag", "")

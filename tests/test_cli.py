@@ -6,8 +6,10 @@ the JSON report, including byte-identical output across repeated runs.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -339,6 +341,73 @@ def test_a_command_sets_up_one_group_and_builds_one_game(capsys, tmp_path, monke
     code, report, _ = run_cli(capsys, "batch", "--config", str(cfg), "--group", "toy")
     assert code == 0 and report["count"] == 3
     assert setups == [("toy",)]
+
+
+# ---------------------------------------------------------------------------
+# The parser: one command's subparser per call
+# ---------------------------------------------------------------------------
+
+
+def _parse_exit(capsys, parser, argv):
+    """Exit code, stdout and stderr of a parse that exits (help or a usage error)."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+#: the flags each command requires
+_REQUIRED = {"analyze": ["--game", "g1"], "batch": ["--config", "batch.json"]}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_one_command_parser_reads_as_the_full_one(capsys, command):
+    full, one = cli._build_parser(), cli._build_parser((command,))
+    assert _parse_exit(capsys, one, [command, "--help"])[0] == 0
+    # --out without a value fails in the subparser; an unknown flag after
+    # the required ones fails in the top-level parser, whose usage line
+    # names every command
+    required = _REQUIRED.get(command, [])
+    for argv in ([command, "--help"], [command, "--out"],
+                 [command, *required, "--no-such-flag"]):
+        code, out, err = _parse_exit(capsys, one, argv)
+        assert (code, out, err) == _parse_exit(capsys, full, argv), argv
+        assert code == 0 or (code == 2 and not out and "usage: countercollusion" in err)
+
+
+def _count_subparsers(monkeypatch) -> list:
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return added
+
+
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    added = _count_subparsers(monkeypatch)
+    code, report, _ = run_cli(capsys, "analyze", "--game", "g1", "--group", "toy")
+    assert code == 0 and report["ok"] is True
+    assert added == ["analyze"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]],
+                         ids=["help", "no-command", "unknown-command"])
+def test_help_and_bad_commands_build_every_subparser(capsys, monkeypatch, argv):
+    added = _count_subparsers(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert added == list(cli._COMMANDS)
+    if argv == ["--help"]:
+        assert exc.value.code == 0
+        for name, (help_text, _, _) in cli._COMMANDS.items():
+            assert re.search(rf"^ +{name}\s+{re.escape(help_text)}$", out, re.M), name
+    else:
+        assert exc.value.code == 2 and "usage: countercollusion" in err
 
 
 # ---------------------------------------------------------------------------

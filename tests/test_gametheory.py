@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from countercollusion import protocol
 from countercollusion.crypto import setup
 from countercollusion.gametheory import (
     Assessment,
@@ -463,6 +464,63 @@ def test_one_pass_values_match_copied_profile_evaluation(gid, kind, params, data
             assert nc.eq_value == node_value(game, nc.node_id, assessment.profile, iset.player)
 
 
+def _pure_or_mixed_profile(game, data):
+    """Weights 0..5 per action, as in ``_random_profile``; a set that plays
+    one action gets the ints 1 and 0, as a pure reference profile does."""
+    profile = {}
+    for set_id, dist in _random_profile(game, data).items():
+        played = [a for a, pr in dist.items() if pr]
+        profile[set_id] = {a: int(a in played) for a in dist} if len(played) == 1 else dist
+    return profile
+
+
+def _rationality_values(report):
+    for check in report.checks:
+        yield check.eq_value
+        yield check.full_deviation_max_gain
+        yield from check.one_shot_values.values()
+        for nc in check.node_checks:
+            yield nc.value
+            yield nc.eq_value
+
+
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=10, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_no_float_enters_the_engine(gid, params, data):
+    """Every value is an int or a Fraction: a float compares equal to the
+    right Fraction, so no value check would catch one.  The reference
+    assessment, where nothing divides, stays in ints."""
+    game = build_game(gid, params)
+    reference = reference_equilibrium(game)
+    values = list(_rationality_values(check_sequential_rationality(game, reference)))
+    values += play(game, reference.profile).values()
+    assert {type(v) for v in values} == {int}
+
+    profile = _pure_or_mixed_profile(game, data)
+    try:
+        beliefs = bayes_beliefs(game, profile)
+    except GameError:  # some info set is never reached
+        assume(False)
+    assessment = Assessment(profile=profile, beliefs=beliefs)
+    values = [pr for dist in beliefs.values() for pr in dist.values()]
+    values += _rationality_values(check_sequential_rationality(game, assessment))
+    values += check_consistency(game, assessment, ks=(3, data.draw(st.integers(4, 10**7)))).values()
+    values += play(game, profile).values()
+    values += [node_value(game, nid, profile, p) for nid in game.nodes for p in (1, 2)]
+    assert {type(v) for v in values} <= {int, Fraction}
+    assert all(type(pr) is Fraction for dist in beliefs.values() for pr in dist.values())
+
+
+def test_bayes_beliefs_of_a_pure_profile_are_fractions():
+    """Under a pure profile every reach is an int; ``/`` between two ints
+    would give a float that compares equal to the right posterior."""
+    game = build_game("g1", BASE)
+    beliefs = bayes_beliefs(game, reference_equilibrium(game).profile)
+    assert beliefs == {"I1": {"v0": 1}, "I2": {"v1": 1, "v2": 0, "v3": 0}}
+    assert {type(pr) for dist in beliefs.values() for pr in dist.values()} == {Fraction}
+
+
 def test_full_deviation_plans_across_later_info_sets():
     """Player 1 moves at I1, then -- after a mixed move of player 2 that it
     does not see -- at J.  Under the stated profile (b at I1, d at J) the
@@ -598,6 +656,15 @@ def test_payoff_crosscheck_matches_protocol(gid, cells):
     checked, mismatches = payoff_crosscheck(build_game(gid, BASE), setup("toy"))
     assert checked == cells
     assert mismatches == []
+
+
+def test_a_crosscheck_derives_the_scenario_values_once(monkeypatch):
+    calls = []
+    derive = protocol._derive_distinct_values
+    monkeypatch.setattr(protocol, "_derive_distinct_values",
+                        lambda *args: calls.append(args) or derive(*args))
+    checked, mismatches = payoff_crosscheck(build_game("g4", STRONG), setup("toy"))
+    assert (checked, mismatches, len(calls)) == (29, [], 1)
 
 
 def test_normal_form_nash_check_for_coalition_game():

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from countercollusion import protocol
 from countercollusion.crypto import setup
 from countercollusion.ledger import Params
 from countercollusion.protocol import (
@@ -461,3 +462,21 @@ def test_scenario_runs_are_byte_identical():
                 run = ["error", exc.code]
             h.update(json.dumps(run, sort_keys=True).encode())
     assert h.hexdigest() == SCENARIO_SUBSET_DIGEST
+
+
+def _outcome_or_code(play, *args):
+    try:
+        return play(*args)
+    except ScenarioError as exc:
+        return exc.code
+
+
+def test_plays_of_one_engagement_equal_fresh_runs():
+    """A crosscheck plays every cell from one engagement; each play must be
+    the run ``run_scenario`` makes alone, whatever was played before it."""
+    engagement = protocol._engage(BASE, TASK, TOY, 5, None)
+    strategies = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
+    for s1, s2 in itertools.product(strategies[::3], strategies[::4]):
+        for traitor_enabled in (None, True, False):
+            fresh = _outcome_or_code(run_scenario, BASE, TASK, s1, s2, TOY, 5, traitor_enabled)
+            assert _outcome_or_code(protocol._play, engagement, s1, s2, traitor_enabled) == fresh

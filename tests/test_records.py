@@ -88,6 +88,8 @@ SAMPLES = {
     Schedule: lambda: Schedule(T1=11),
     Outcome: lambda: Outcome("G1:v1", "G1", {"cloud1": 90}, {"cloud1": "C1"},
                              ({"time": 0, "tag": "x"},), ("8b",)),
+    protocol._Engagement: lambda: protocol._engage(
+        Params(w=100, c=10, ch=201, d=212, t=309, b=5), Task(), setup("toy"), 7, None),
 }
 
 
