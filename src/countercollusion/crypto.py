@@ -21,11 +21,13 @@ from a row of true-affine odd multiples and its ``(beta*x, y)`` image.  For
 the generators ``P`` and ``Q`` those rows are built once, by ``setup``, at
 width 6 (16 multiples each; Guide to ECC, section 3.3) and kept in
 ``GroupParams.tables``; ``GroupParams.mul`` passes them in.  Every other
-base gets width-5 rows (8 multiples) per call, made affine with one
-Montgomery batch inversion, so a call inverts at most twice.  Calls per
-operation are the same on both groups: ``commit`` 1, ``prove_eq`` and
-``prove_neq`` 3 each (two of them re-open the commitments), ``verify_eq``
-and ``verify_neq`` 1 each.
+base (in the protocol only ``C1 - C2``) gets width-5 rows (8 multiples) per
+call, made affine with one Montgomery batch inversion, so a call inverts at
+most twice.  One flat loop adds the row points of the nonzero NAF digits
+only, with the point formulas inline over local ints.  Calls per operation
+are the same on both groups: ``commit`` 1, ``prove_eq`` and ``prove_neq`` 3
+each (two of them re-open the commitments), ``verify_eq`` and
+``verify_neq`` 1 each.
 
 Commitments are ``Com_s(m) = m*P + s*Q`` where ``P`` and ``Q`` are both
 derived by hash-to-group from a public seed (nobody knows a discrete log
@@ -170,6 +172,9 @@ _WNAF_WIDTH = 5
 #: doubled the build, which every ``setup`` pays.
 _FIXED_WIDTH = 6
 
+#: Bit positions of ``mul``'s schedule: NAFs of GLV halves (< 2^128) end by 128.
+_SCHEDULE_LEN = 129
+
 _NO_TABLES: dict = {}
 
 
@@ -232,26 +237,6 @@ class _Secp256k1Group:
         Y3 = (R * (U1 * H2 - X3) - S1 * H3) % p
         Z3 = (H * Z1 * Z2) % p
         return (X3, Y3, Z3)
-
-    def _jmadd(self, a, x, y):
-        """Jacobian ``a`` plus the affine point ``(x, y)``."""
-        if a is None:
-            return (x, y, 1)
-        p = self.p
-        X1, Y1, Z1 = a
-        Z1Z1 = (Z1 * Z1) % p
-        H = (x * Z1Z1 - X1) % p
-        R = (y * Z1 * Z1Z1 - Y1) % p
-        if H == 0:
-            if R == 0:
-                return self._jdouble(a)
-            return None
-        H2 = (H * H) % p
-        H3 = (H * H2) % p
-        V = (X1 * H2) % p
-        X3 = (R * R - H3 - 2 * V) % p
-        Y3 = (R * (V - X3) - Y1 * H3) % p
-        return (X3, Y3, (Z1 * H) % p)
 
     def _to_jac(self, pt):
         if pt is None:
@@ -331,9 +316,12 @@ class _Secp256k1Group:
         ``P`` and ``Q``, built once by ``setup``) reads both rows from there,
         at width ``_FIXED_WIDTH``.  Every other base gets width-5 rows
         ``a, 3a, ..., 15a`` built for this call and made affine with one
-        Montgomery batch inversion (``_odd_multiples``).  All rows are true
-        affine, so the loop adds them with mixed Jacobian+affine additions;
-        the result's ``Z`` is the call's only other field inversion.
+        Montgomery batch inversion (``_odd_multiples``).  The schedule lists,
+        per bit position, the row points of the nonzero digits
+        (``_naf_digits``); the loop walks it from the top over a Jacobian
+        ``X, Y, Z`` in local ints (``Z == 0``: the identity), with the
+        doubling and the mixed Jacobian+affine addition written inline.  The
+        result's ``Z`` is the call's only other field inversion.
         """
         p = self.p
         terms = [(k % self.q, a) for k, a in _terms(k, a, more)]
@@ -342,28 +330,46 @@ class _Secp256k1Group:
             return None
         fresh = [a for _, a in terms if a not in tables]
         rows = dict(zip(fresh, self._odd_multiples(fresh, _WNAF_WIDTH))) | tables
-        # the points to add at each bit position, least significant first
-        streams = []
+        # the affine points to add at each bit position, least significant first
+        steps = [[] for _ in range(_SCHEDULE_LEN)]
         for k, a in terms:
             w, row, lambda_row = rows[a]
-            k1, k2 = _glv_split(k)
-            streams.append((_wnaf(k1, w), row))
-            streams.append((_wnaf(k2, w), lambda_row))
-        steps = [[] for _ in range(max(len(naf) for naf, _ in streams))]
-        for naf, row in streams:
-            for i, d in enumerate(naf):
-                if d > 0:
-                    steps[i].append(row[d >> 1])
-                elif d < 0:
-                    x, y = row[-d >> 1]
-                    steps[i].append((x, p - y))
-        acc = None
+            for half, r in zip(_glv_split(k), (row, lambda_row)):
+                for i, d in _naf_digits(half, w):
+                    if d > 0:
+                        steps[i].append(r[d >> 1])
+                    else:
+                        x, y = r[-d >> 1]
+                        steps[i].append((x, p - y))
+        X = Y = Z = 0
         for pts in reversed(steps):
-            if acc is not None:
-                acc = self._jdouble(acc)
+            if Z:
+                Y2 = Y * Y % p
+                S = 4 * X * Y2 % p
+                M = 3 * X * X % p
+                X = (M * M - 2 * S) % p
+                Z = 2 * Y * Z % p
+                Y = (M * (S - X) - 8 * Y2 * Y2) % p
             for x, y in pts:
-                acc = self._jmadd(acc, x, y)
-        return self._to_affine(acc)
+                if not Z:
+                    X, Y, Z = x, y, 1
+                    continue
+                ZZ = Z * Z % p
+                H = (x * ZZ - X) % p
+                R = (y * Z * ZZ - Y) % p
+                if not H:
+                    if R:  # the inverse point: the sum is the identity
+                        Z = 0
+                    else:  # the same point (never of order 2: q is odd)
+                        X, Y, Z = self._jdouble((X, Y, Z))
+                    continue
+                H2 = H * H % p
+                H3 = H * H2 % p
+                V = X * H2 % p
+                X = (R * R - H3 - 2 * V) % p
+                Y = (R * (V - X) - Y * H3) % p
+                Z = Z * H % p
+        return self._to_affine((X, Y, Z)) if Z else None
 
     def is_member(self, a) -> bool:
         if a is None:
@@ -416,23 +422,24 @@ def _terms(k, a, more) -> list:
     return [(k, a), *zip(more[::2], more[1::2], strict=True)]
 
 
-def _wnaf(k: int, w: int = _WNAF_WIDTH) -> list[int]:
-    """Width-``w`` non-adjacent form of ``k``, least significant digit first.
-
-    Digits are 0 or odd in ``(-2^(w-1), 2^(w-1))``.  The digits of ``-k``
-    are those of ``k`` negated; ``0`` has none.
-    """
-    digits, half, mask = [], 1 << (w - 1), (1 << w) - 1
+def _naf_digits(k: int, w: int):
+    """The nonzero digits of the width-``w`` non-adjacent form of ``k`` as
+    ``(position, digit)``, least significant first: odd in
+    ``(-2^(w-1), 2^(w-1))``, at least ``w`` positions apart, with
+    ``sum(d << i) == k``.  Those of ``-k`` are those of ``k`` negated.  A
+    run of zeros is skipped in one step, by its length
+    ``(k & -k).bit_length() - 1``."""
+    half, mask, i = 1 << (w - 1), (1 << w) - 1, 0
     while k:
-        d = 0
-        if k & 1:
-            d = k & mask
-            if d > half:
-                d -= mask + 1
-            k -= d
-        digits.append(d)
-        k >>= 1
-    return digits
+        zeros = (k & -k).bit_length() - 1
+        k >>= zeros
+        i += zeros
+        d = k & mask
+        if d > half:
+            d -= mask + 1
+        yield i, d
+        k = (k - d) >> w
+        i += w
 
 
 # GLV endomorphism of secp256k1 (Gallant-Lambert-Vanstone, CRYPTO 2001;

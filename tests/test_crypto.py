@@ -43,8 +43,11 @@ from countercollusion.crypto import (
     _GLV_BETA,
     _GLV_LAMBDA,
     _FIXED_WIDTH,
+    _SCHEDULE_LEN,
+    _WNAF_WIDTH,
     _challenge,
     _glv_split,
+    _naf_digits,
     _prove,
 )
 
@@ -479,6 +482,24 @@ def test_glv_split_halves(k):
     assert abs(k2).bit_length() <= 128
 
 
+@pytest.mark.parametrize("w", [_WNAF_WIDTH, _FIXED_WIDTH])
+@settings(max_examples=200, deadline=None)
+@given(k=_scalars(SECP.q))
+def test_naf_digits_of_both_signs_of_each_glv_half(w, k):
+    """Each half ``mul`` schedules has a width-``w`` NAF: odd digits below
+    ``2^(w-1)`` in size, at least ``w`` positions apart, within the
+    schedule's length and summing to the half.  Its negation has the same
+    digits negated, so the same holds for both signs."""
+    for half in _glv_split(k % SECP.q):
+        digits = list(_naf_digits(half, w))
+        assert list(_naf_digits(-half, w)) == [(i, -d) for i, d in digits]
+        positions = [i for i, _ in digits]
+        assert all(0 <= i < _SCHEDULE_LEN for i in positions)
+        assert all(j - i >= w for i, j in zip(positions, positions[1:]))
+        assert all(d % 2 == 1 and abs(d) < 1 << (w - 1) for _, d in digits)
+        assert sum(d << i for i, d in digits) == half
+
+
 # ---------------------------------------------------------------------------
 # verify_eq / verify_neq give the verdicts of the separate-mul equations
 # ---------------------------------------------------------------------------
@@ -641,3 +662,29 @@ def test_verify_verdicts_match_separate_mul_equations(gp, trials):
     for _ in range(trials):
         for verify, reference, c1, c2, proof in _verdict_cases(gp, rng):
             assert verify(gp, c1, c2, proof) == reference(gp, c1, c2, proof), (verify.__name__, proof)
+
+
+# ---------------------------------------------------------------------------
+# Strong Fiat-Shamir: the challenge binds every input of the statement
+# ---------------------------------------------------------------------------
+
+
+@GROUPS
+@pytest.mark.parametrize("changed", ["tag", "wire_name", "P", "Q", "C1", "C2", "t"])
+def test_challenge_changes_with_each_input(gp, changed, monkeypatch):
+    """Changing only the tag, the group's wire name, ``P``, ``Q``, ``C1``,
+    ``C2`` or ``t`` changes ``delta`` (Bernhard-Pereira-Warinschi,
+    ASIACRYPT 2012): a proof cannot be moved to another statement, group or
+    proof kind with its challenge unchanged."""
+    g = gp.backend
+    args = {"tag": NEQ_TAG, "C1": commit(gp, 7, 11).value, "C2": commit(gp, 9, 13).value,
+            "t": gp.mul(5, gp.P, 3, gp.Q)}
+    delta = _challenge(gp, *args.values())
+    other = g.hash_to_group(b"fiat-shamir-test", b"other")
+    if changed == "wire_name":
+        monkeypatch.setattr(g, "wire_name", g.wire_name + b"-other")
+    elif changed in ("P", "Q"):
+        gp = gp._replace(**{changed: other})
+    else:
+        args[changed] = EQ_TAG if changed == "tag" else other
+    assert _challenge(gp, *args.values()) != delta
