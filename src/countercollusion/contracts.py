@@ -23,7 +23,8 @@ Every contract goes through one shared escrow path (``_Escrow``):
 ``"<contract>/<verb>/<clause>"``, enters the next state and logs the one
 ``"<contract>/<verb>"`` record carrying the clause.  The clause catalog (one
 row per ``_settle`` call) is in the README.  Money leaves an escrow only
-through ``_pay``, and every call either completes or raises
+through ``_pay``, which also appends the tag of each payout a call (not a
+timer) makes to ``ledger.settlements``.  Every call either completes or raises
 ``ContractError`` with a stable error code -- contracts never reach
 undefined states.
 
@@ -124,9 +125,13 @@ class _Escrow:
                            state=state.value)
 
     def _pay(self, verb: str, clause: str, payouts) -> None:
+        """Pay each ``(recipient, amount)`` out of escrow; a call's payouts,
+        not a timer's, also go into ``ledger.settlements``."""
         tag = f"{self._kind}/{verb}/{clause}"
         for recipient, amount in payouts:
             self.ledger.transfer(self.account, recipient, amount, tag=tag)
+            if verb != "timer":
+                self.ledger.settlements.append(tag)
 
     def _settle(self, verb: str, clause: str, state, payouts=(),
                 actor: Optional[AccountId] = None, **detail) -> None:

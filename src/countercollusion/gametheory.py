@@ -6,8 +6,11 @@ outsourcing, ``g2`` with a bribery coalition, ``g3`` with betrayal reporting,
 machine-checks the two halves of sequential equilibrium.  Every value is an
 ``int`` where nothing divides: utilities, pure profiles and every value
 computed from them.  A ``Fraction`` comes only from a division: the 1/k
-ladder of ``consistency_sequence``, Bayes' rule in ``bayes_beliefs``, or a
-mixed profile a caller passes in.  The two halves:
+ladder of ``consistency_sequence``, Bayes' rule in ``bayes_beliefs``, the
+residuals of ``check_consistency``, or a mixed profile a caller passes in;
+only those three functions import ``fractions``.  ``Game`` validates the
+*sibling rule*: the nodes of one information set share one parent.  The
+two halves:
 
 * **sequential rationality** -- at every information set, the prescribed
   strategy maximizes the owner's expected payoff under the stated beliefs.
@@ -17,9 +20,12 @@ mixed profile a caller passes in.  The two halves:
   worse), and per-node action dominance (with declared tie exemptions where
   several actions are exactly payoff-equal).
 * **consistency** -- the assessment is the limit of fully-mixed strategy
-  profiles with Bayes-derived beliefs; ``consistency_sequence`` constructs
-  the canonical 1/k mixture and ``check_consistency`` measures the exact
-  sup-distance residual, which is 2/k for all four reference equilibria.
+  profiles with Bayes-derived beliefs.  Under the sibling rule a node's
+  posterior is the probability its parent's set puts on the action into it,
+  over the total of the actions into the set.  ``consistency_sequence``
+  constructs the canonical 1/k mixture, and ``check_consistency`` gives its
+  exact sup-distance from the assessment in closed form, without building
+  it; the residual is 2/k for all four reference equilibria.
 
 ``payoff_crosscheck`` closes the loop with the executable protocol: every
 terminal of a game tree is replayed as a full contract scenario and the
@@ -31,11 +37,13 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
 
 from . import CodedError
 from .ledger import Params, validate_params
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "GameError",
@@ -171,6 +179,9 @@ class Game:
             histories = {self._own_history(nid, iset.player) for nid in iset.nodes}
             if len(histories) != 1:
                 raise GameError("bad-structure", f"{iset.set_id} violates perfect recall")
+            # the sibling rule, which Bayes' rule and the consistency check rely on
+            if len({self.parents.get(nid, (None,))[0] for nid in iset.nodes}) != 1:
+                raise GameError("bad-structure", f"{iset.set_id} spans several parents")
         if covered != decision_nodes:
             raise GameError("bad-structure", f"info sets miss nodes {decision_nodes - covered}")
 
@@ -426,13 +437,8 @@ def reference_equilibrium(game: Game) -> Assessment:
 
     profile = {set_id: _pure(moves[depth(iset.nodes[0])], iset.actions)
                for set_id, iset in game.info_sets.items()}
-    beliefs = {}
-    for set_id, iset in game.info_sets.items():
-        beliefs[set_id] = {iset.nodes[0]: 1}
-        if len(iset.nodes) > 1:
-            into = [game.parents[h] for h in iset.nodes]
-            beliefs[set_id] = {h: profile[game.nodes[parent].info_set][action]
-                               for h, (parent, action) in zip(iset.nodes, into)}
+    beliefs = {set_id: _entering(game, iset, profile)[1] if len(iset.nodes) > 1
+               else {iset.nodes[0]: 1} for set_id, iset in game.info_sets.items()}
     assessment = Assessment(profile=profile, beliefs=beliefs)
     validate_assessment(game, assessment)
     return assessment
@@ -658,41 +664,72 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
 # ---------------------------------------------------------------------------
 
 
-def bayes_beliefs(game: Game, profile: Mapping) -> dict[str, dict[str, Fraction]]:
-    """Beliefs induced by Bayes' rule from the reach probabilities of the
-    decision nodes."""
-    reach: dict[str, int | Fraction] = {game.root: 1}
+def _entering(game: Game, iset: InfoSet, weights: Mapping) -> tuple[Optional[str], dict]:
+    """The sibling rule: the nodes of a set share one parent (``Game``
+    validates it), so each node's posterior weight is the weight the
+    parent's set puts on the action into it.  Returns ``(parent, {node:
+    weight})``, or ``(None, {root: 1})`` at the root's set."""
+    first = iset.nodes[0]
+    if first not in game.parents:
+        return None, {first: 1}
+    parent = game.parents[first][0]
+    dist = weights[game.nodes[parent].info_set]
+    return parent, {h: dist.get(game.parents[h][1], 0) for h in iset.nodes}
 
-    def reach_of(nid: str) -> int | Fraction:
-        if nid not in reach:
+
+def bayes_beliefs(game: Game, profile: Mapping) -> dict[str, dict[str, Fraction]]:
+    """Beliefs by Bayes' rule.  Under the sibling rule a node's reach is its
+    parent's reach times the action into it, so its posterior is that
+    action's probability over the set's entering total.  A set whose parent
+    is unreachable, or whose entering probabilities sum to 0, raises
+    ``unreachable-info-set``."""
+    from fractions import Fraction
+
+    reached = {game.root: True}
+
+    def reaches(nid: str) -> bool:
+        if nid not in reached:
             parent, action = game.parents[nid]
-            dist = profile[game.nodes[parent].info_set]
-            reach[nid] = reach_of(parent) * dist.get(action, 0)
-        return reach[nid]
+            reached[nid] = reaches(parent) and bool(
+                profile[game.nodes[parent].info_set].get(action, 0))
+        return reached[nid]
 
     beliefs: dict[str, dict[str, Fraction]] = {}
     for iset in game.info_sets.values():
-        total = sum(reach_of(h) for h in iset.nodes)
-        if total == 0:
+        parent, entering = _entering(game, iset, profile)
+        total = sum(entering.values())
+        if total == 0 or (parent is not None and not reaches(parent)):
             raise GameError("unreachable-info-set", iset.set_id)
-        # Fraction, not ``/``: two int reaches would divide to a float
-        beliefs[iset.set_id] = {h: Fraction(reach[h], total) for h in iset.nodes}
+        # Fraction, not ``/``: two int probabilities would divide to a float
+        beliefs[iset.set_id] = {h: Fraction(pr, total) for h, pr in entering.items()}
     return beliefs
+
+
+def _rung_weights(game: Game, profile: Mapping, k: int) -> dict[str, dict[str, int]]:
+    """The integer weights of the ``k``-th fully-mixed approximation: at
+    every info set the prescribed action (the profile's first most likely
+    one) weighs ``k - (n - 1)`` and every other action 1, so each set's
+    weights sum to ``k``."""
+    widest = max((len(iset.actions) for iset in game.info_sets.values()), default=0)
+    if k < max(3, widest):
+        raise GameError("bad-k", f"need k >= {max(3, widest)}")
+    weights: dict[str, dict[str, int]] = {}
+    for iset in game.info_sets.values():
+        dist = profile[iset.set_id]
+        star = max(dist, key=dist.get)
+        kept = k - (len(iset.actions) - 1)
+        weights[iset.set_id] = {a: kept if a == star else 1 for a in iset.actions}
+    return weights
 
 
 def consistency_sequence(game: Game, assessment: Assessment, k: int) -> Assessment:
     """The canonical fully-mixed approximation: at every info set the
-    prescribed action keeps weight 1 - (n-1)/k and every other action gets
-    1/k; beliefs follow by exact Bayes' rule."""
-    if k < 3:
-        raise GameError("bad-k", "need k >= 3")
-    eps = Fraction(1, k)
-    profile: dict[str, dict[str, Fraction]] = {}
-    for iset in game.info_sets.values():
-        dist = assessment.profile[iset.set_id]
-        star = max(dist, key=dist.get)
-        kept = 1 - (len(iset.actions) - 1) * eps
-        profile[iset.set_id] = {a: kept if a == star else eps for a in iset.actions}
+    prescribed action keeps probability 1 - (n-1)/k and every other action
+    gets 1/k; beliefs follow by exact Bayes' rule."""
+    from fractions import Fraction
+
+    profile = {set_id: {a: Fraction(w, k) for a, w in weights.items()}
+               for set_id, weights in _rung_weights(game, assessment.profile, k).items()}
     return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
 
 
@@ -707,14 +744,39 @@ def assessment_distance(game: Game, a: Assessment, b: Assessment) -> int | Fract
 
 def check_consistency(
     game: Game, assessment: Assessment, ks: tuple[int, ...] = (10, 100, 1000, 10**7)
-) -> dict[int, int | Fraction]:
+) -> dict[int, Fraction]:
     """Residual sup-distance between the k-th fully-mixed approximation and
     the assessment, per k.  For the reference equilibria this is exactly
-    2/k, witnessing consistency in the limit."""
-    return {
-        k: assessment_distance(game, consistency_sequence(game, assessment, k), assessment)
-        for k in ks
-    }
+    2/k, witnessing consistency in the limit.
+
+    The value is ``assessment_distance(game, consistency_sequence(game,
+    assessment, k), assessment)`` in closed form, with no approximation
+    built.  With ``w`` the rung's weights, a profile entry ``pi`` lies
+    ``|w(a) - k*pi| / k`` away and a belief ``mu`` at a node entered by
+    ``a`` lies ``|w(a) / W - mu|`` away, ``W`` the weight of every action
+    into the set (1 at the root).  Entries are compared as integer ratios;
+    one ``Fraction`` per rung holds the largest.
+    """
+    from fractions import Fraction
+
+    profile, beliefs = assessment.profile, assessment.beliefs
+    residuals: dict[int, Fraction] = {}
+    for k in ks:
+        weights = _rung_weights(game, profile, k)
+        num, den = 0, 1  # the largest distance so far is num / den
+        for iset in game.info_sets.values():
+            dist, mus = profile[iset.set_id], beliefs[iset.set_id]
+            entering = _entering(game, iset, weights)[1]
+            total = sum(entering.values())
+            # (weight, total weight, the assessment's value) per entry
+            entries = [(w, k, dist.get(a, 0)) for a, w in weights[iset.set_id].items()]
+            entries += [(w, total, mus.get(h, 0)) for h, w in entering.items()]
+            for w, scale, x in entries:
+                n, d = abs(w * x.denominator - scale * x.numerator), scale * x.denominator
+                if n * den > num * d:
+                    num, den = n, d
+        residuals[k] = Fraction(num, den)
+    return residuals
 
 
 # ---------------------------------------------------------------------------

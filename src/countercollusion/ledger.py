@@ -104,6 +104,8 @@ class Ledger:
         self.balances: dict[AccountId, Money] = dict(balances)
         self.clock: int = start_time
         self.log: list[dict] = []
+        #: the tag of every payout a contract call made out of escrow, in order
+        self.settlements: list[str] = []
         self._timers: list[Callable[[], bool]] = []
         self._minted: Money = sum(balances.values())
         self._seq: int = 0

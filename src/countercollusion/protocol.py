@@ -24,7 +24,6 @@ reporting without coalition, G4 coalition plus reporting).
 
 from __future__ import annotations
 
-import ast
 import enum
 import hashlib
 import random
@@ -141,6 +140,8 @@ _MAX_EXPR_LEN = 1000
 
 def _eval_arith(expr: str, x: int) -> int:
     """Evaluate a tiny arithmetic language over one variable, safely."""
+    import ast  # only arithmetic tasks parse, so a cold start skips it
+
     if len(expr) > _MAX_EXPR_LEN:
         raise ScenarioError("invalid-task", f"expression longer than {_MAX_EXPR_LEN} characters")
 
@@ -507,17 +508,12 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     players = (clouds[1 - clouds.index(second)], second)
     act = [_ACTION_INDEX[strategies[cl].ctp_action] for cl in players]
     rho = 0 if reporter is None else _REPORT_INDEX[strategies[reporter].report_choice]
-    clauses = tuple(
-        entry["tag"] for entry in ledger.log
-        if "/pay/" in entry.get("tag", "") or "/dispute/" in entry.get("tag", "")
-        or "/enforce/" in entry.get("tag", "") or "/check/" in entry.get("tag", "")
-    )
     return Outcome(
         terminal_label=terminal_label(game_id, rho, *act),
         game_family=game_id.upper(),
         deltas=deltas,
         roles={cl.id: role for cl, role in zip(players, role_names)},
         transcript=tuple(ledger.log),
-        settlement_clauses=clauses,
+        settlement_clauses=tuple(ledger.settlements),
     )
 

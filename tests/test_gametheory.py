@@ -646,6 +646,125 @@ def test_consistency_sequence_needs_k_at_least_three():
     assert err.value.code == "bad-k"
 
 
+def _reach_beliefs(game, profile):
+    """Bayes' rule by reach products, with no use of the sibling rule: each
+    node's posterior is its reach over its set's total reach."""
+    reach = {game.root: 1}
+
+    def reach_of(nid):
+        if nid not in reach:
+            parent, action = game.parents[nid]
+            dist = profile[game.nodes[parent].info_set]
+            reach[nid] = reach_of(parent) * dist.get(action, 0)
+        return reach[nid]
+
+    beliefs = {}
+    for iset in game.info_sets.values():
+        total = sum(reach_of(h) for h in iset.nodes)
+        if total == 0:
+            raise GameError("unreachable-info-set", iset.set_id)
+        beliefs[iset.set_id] = {h: Fraction(reach[h], total) for h in iset.nodes}
+    return beliefs
+
+
+def _any_beliefs(game, data):
+    """Non-negative rationals per node, ints or Fractions, not summing to 1
+    as a rule; a node may be left out (belief 0)."""
+    beliefs = {}
+    for set_id in sorted(game.info_sets):
+        beliefs[set_id] = {}
+        for h in game.info_sets[set_id].nodes:
+            mu = data.draw(st.one_of(st.none(), st.integers(0, 3),
+                                     st.fractions(0, 3, max_denominator=50)), label=f"mu:{h}")
+            if mu is not None:
+                beliefs[set_id][h] = mu
+    return beliefs
+
+
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=40, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_closed_form_residuals_equal_the_constructed_distance(gid, params, data):
+    """``check_consistency`` builds no approximation; its residual at each
+    rung must be the distance to the one ``consistency_sequence`` builds,
+    in value and in type, for any profile and any non-negative beliefs."""
+    game = build_game(gid, params)
+    profile = data.draw(st.sampled_from([reference_equilibrium(game).profile,
+                                         _pure_or_mixed_profile(game, data)]))
+    assessment = Assessment(profile=profile, beliefs=_any_beliefs(game, data))
+    ks = (3, data.draw(st.integers(3, 10**7), label="k"))
+    residuals = check_consistency(game, assessment, ks)
+    for k in ks:
+        expected = assessment_distance(game, consistency_sequence(game, assessment, k), assessment)
+        assert residuals[k] == expected and type(residuals[k]) is type(expected), k
+
+
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=40, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_sibling_rule_beliefs_equal_reach_products(gid, params, data):
+    game = build_game(gid, params)
+    profile = _pure_or_mixed_profile(game, data)
+    try:
+        expected = _reach_beliefs(game, profile)
+    except GameError as err:
+        with pytest.raises(GameError) as ours:
+            bayes_beliefs(game, profile)
+        assert ours.value.code == err.code == "unreachable-info-set"
+        return
+    beliefs = bayes_beliefs(game, profile)
+    assert beliefs == expected
+    assert {type(pr) for dist in beliefs.values() for pr in dist.values()} == {Fraction}
+
+
+def test_info_set_spanning_two_parents_rejected():
+    """Player 2 moves twice, then player 1 -- who saw nothing -- moves at
+    nodes with different parents: perfect recall holds, the sibling rule
+    does not."""
+    def leaf(nid):
+        return Node(nid, utilities=(0, 0), label=f"X:{nid}")
+
+    nodes = {
+        "v0": Node("v0", player=2, info_set="I2.1", children={"a": "v1", "b": "v2"}),
+        "v1": Node("v1", player=2, info_set="I2.2", children={"x": "v3", "y": "t0"}),
+        "v2": Node("v2", player=2, info_set="I2.3", children={"x": "v4", "y": "t1"}),
+        "v3": Node("v3", player=1, info_set="J", children={"c": "t2", "d": "t3"}),
+        "v4": Node("v4", player=1, info_set="J", children={"c": "t4", "d": "t5"}),
+        **{f"t{i}": leaf(f"t{i}") for i in range(6)},
+    }
+    info_sets = {
+        "I2.1": InfoSet("I2.1", 2, ("v0",), ("a", "b")),
+        "I2.2": InfoSet("I2.2", 2, ("v1",), ("x", "y")),
+        "I2.3": InfoSet("I2.3", 2, ("v2",), ("x", "y")),
+        "J": InfoSet("J", 1, ("v3", "v4"), ("c", "d")),
+    }
+    with pytest.raises(GameError) as err:
+        Game("cousins", BASE, nodes, info_sets)
+    assert err.value.code == "bad-structure"
+    assert "J spans several parents" in str(err.value)
+    # the same tree with J split per parent is a valid game
+    Game("cousins", BASE, {**nodes, "v4": nodes["v4"]._replace(info_set="K")},
+         {**info_sets, "J": InfoSet("J", 1, ("v3",), ("c", "d")),
+          "K": InfoSet("K", 1, ("v4",), ("c", "d"))})
+
+
+def test_a_ladder_rung_must_be_fully_mixed():
+    """The prescribed action weighs k - (n - 1), so a set of n actions needs
+    k >= n; the tree games have n <= 3."""
+    nodes = {
+        "v0": Node("v0", player=1, info_set="I1",
+                   children={a: f"t{i}" for i, a in enumerate("abcd")}),
+        **{f"t{i}": Node(f"t{i}", utilities=(i, 0), label=f"X:t{i}") for i in range(4)},
+    }
+    game = Game("wide", BASE, nodes, {"I1": InfoSet("I1", 1, ("v0",), tuple("abcd"))})
+    assessment = Assessment(profile={"I1": {"a": 1, "b": 0, "c": 0, "d": 0}},
+                            beliefs={"I1": {"v0": 1}})
+    with pytest.raises(GameError) as err:
+        check_consistency(game, assessment, ks=(3,))
+    assert (err.value.code, str(err.value)) == ("bad-k", "need k >= 4")
+    assert check_consistency(game, assessment, ks=(4,)) == {4: Fraction(3, 4)}
+
+
 # ---------------------------------------------------------------------------
 # Protocol crosscheck: the tree and the contracts agree cell by cell
 # ---------------------------------------------------------------------------

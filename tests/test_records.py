@@ -3,7 +3,8 @@
 Records are ``typing.NamedTuple`` classes: immutable, equal by value and,
 when every field is hashable, usable as dict keys.  Contracts are mutable
 and equal only to themselves.  A fresh interpreter that imports the CLI and
-sets up a group loads neither ``dataclasses`` nor ``inspect``.
+sets up a group loads neither ``dataclasses`` nor ``inspect``, nor ``ast``,
+``fractions`` or ``decimal``.
 """
 
 from __future__ import annotations
@@ -181,14 +182,26 @@ def test_each_prisoners_contract_has_its_own_workers_and_deliveries():
     assert a.delivered is not b.delivered
 
 
-def test_cold_import_loads_no_code_generation():
+def _loaded_at_cold_start(modules):
+    """Which of ``modules`` a fresh interpreter has loaded once it imported
+    the CLI and set up secp256k1."""
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import countercollusion.cli\n"
             "from countercollusion import crypto\n"
             "crypto.setup('secp256k1')\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+            f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
     # -S: no site hooks, so only the package and the stdlib it imports count
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_cold_import_loads_no_code_generation():
+    assert _loaded_at_cold_start({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cold_import_loads_neither_ast_nor_fractions():
+    """Only arithmetic tasks parse (``ast``) and only the consistency check
+    and Bayes' rule divide (``fractions``, which loads ``decimal``)."""
+    assert _loaded_at_cold_start({"ast", "fractions", "decimal"}) == "[]"
