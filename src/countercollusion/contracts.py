@@ -26,7 +26,8 @@ row per ``_settle`` call) is in the README.  Money leaves an escrow only
 through ``_pay``, which also appends the tag of each payout a call (not a
 timer) makes to ``ledger.settlements``.  Every call either completes or raises
 ``ContractError`` with a stable error code -- contracts never reach
-undefined states.
+undefined states.  ``fork`` clones a ledger with every contract on it, so a
+play can branch without replaying its prefix.
 
 State machines (terminal states marked *):
 
@@ -46,6 +47,7 @@ from .ledger import AccountId, Ledger, Money
 
 __all__ = [
     "ContractError",
+    "fork",
     "PCState",
     "CCState",
     "TCState",
@@ -147,6 +149,29 @@ class _Escrow:
         else:
             self.ledger.record(f"{self._kind}/{verb}", actor=actor, clause=clause,
                                contract=self.account.id, state=state.value, **detail)
+
+
+def fork(ledger: Ledger) -> tuple[Ledger, dict[_Escrow, _Escrow]]:
+    """Clone ``ledger`` and every escrow contract registered on it, a decoy
+    that only a traitor's contract references included, keeping the timer
+    order.  The clones reference each other (``ctp``, ``ctc``,
+    ``traitor_contract``) and own their ``workers`` and ``delivered``; the
+    other fields are immutable, or never changed after ``create``, and are
+    shared.  Returns the copy and each original's clone."""
+    twin, clones = ledger.copy(), {}
+    for timer in ledger._timers:  # every timer is an escrow's ``on_timer``
+        contract = timer.__self__
+        clone = clones[contract] = object.__new__(type(contract))
+        vars(clone).update(vars(contract), ledger=twin)
+        twin.register_timer(clone.on_timer)
+    for clone in clones.values():
+        fields = vars(clone)
+        for name in ("ctp", "ctc", "traitor_contract"):
+            if fields.get(name) is not None:
+                fields[name] = clones[fields[name]]
+        if "workers" in fields:
+            fields.update(workers=list(clone.workers), delivered=dict(clone.delivered))
+    return twin, clones
 
 
 # ---------------------------------------------------------------------------

@@ -358,13 +358,17 @@ def _layout(game_id: str):
 
 
 @functools.lru_cache(maxsize=None)
+def _labels(game_id: str) -> dict[tuple[int, int, int], str]:
+    """Each payoff cell's terminal label, from one ``_layout`` pass."""
+    return {cell: f"{game_id.upper()}:{nid}"
+            for nid, cell in _layout(game_id)[2].items() if cell is not None}
+
+
 def terminal_label(game_id: str, rho: int, i: int, j: int) -> str:
     """Label of the terminal reached after report ``rho`` (0 = none) and the
     deliveries ``i`` of player 1 and ``j`` of player 2 (0 = fx, 1 = r,
     2 = other)."""
-    terminals = _layout(game_id)[2]
-    return next(f"{game_id.upper()}:{nid}" for nid, cell in terminals.items()
-                if cell == (rho, i, j))
+    return _labels(game_id)[rho, i, j]
 
 
 def build_game(game_id: str, params: Params) -> Game:
@@ -864,26 +868,40 @@ def _scenario_grid(game: Game):
                traitor_enabled)
 
 
+def _cell_outcomes(game: Game, gp, seed: int):
+    """Yield ``(terminal node id, outcome)`` for every cell of
+    ``_scenario_grid(game)``: the play ``run_scenario`` makes at the game's
+    parameters over ``gp``.  The engagement is checked and derived once, the
+    cells that share roles, reports and the traitor flag share one opening,
+    and each cell settles its own fork of it."""
+    from .protocol import Task, _engage, _open_play, _settle_play
+
+    engagement = _engage(game.params, Task(), gp, seed, None)
+    openings = {}  # kept for this call only
+    for nid, s1, s2, traitor_enabled in _scenario_grid(game):
+        key = (s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
+               traitor_enabled)
+        if key not in openings:
+            openings[key] = _open_play(engagement, s1, s2, traitor_enabled)
+        yield nid, _settle_play(engagement, openings[key].fork(), s1, s2)
+
+
 def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:
     """Replay every terminal of ``game`` as a full contract scenario at the
     game's parameters, every one over the group ``gp`` (a
     ``crypto.GroupParams``), and compare terminal labels and exact money
     deltas against the tree.
 
-    Every cell is the play ``run_scenario`` makes, each on its own ledger;
-    the engagement they share is checked and derived once.
+    Every cell is the play ``run_scenario`` makes (``_cell_outcomes``):
+    bids, coalition and report run once per opening, not once per cell.
 
     Returns ``(cells checked, mismatches)``; an empty mismatch list means the
     game tree and the executable protocol agree everywhere.
     """
-    from .protocol import Task, _engage, _play
-
-    engagement = _engage(game.params, Task(), gp, seed, None)
     mismatches: list[dict] = []
     cells = 0
-    for nid, s1, s2, traitor_enabled in _scenario_grid(game):
+    for nid, out in _cell_outcomes(game, gp, seed):
         node = game.nodes[nid]
-        out = _play(engagement, s1, s2, traitor_enabled)
         cells += 1
         actual = (out.deltas["cloud1"], out.deltas["cloud2"])
         if out.terminal_label != node.label or actual != node.utilities:

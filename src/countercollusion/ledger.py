@@ -131,6 +131,15 @@ class Ledger:
     def snapshot(self) -> dict[AccountId, Money]:
         return dict(self.balances)
 
+    def copy(self) -> "Ledger":
+        """This ledger's balances, clock, log, settlements and account
+        counter, with no timers.  The copy shares the log's entries, which
+        nothing changes once they are recorded."""
+        twin = object.__new__(Ledger)
+        vars(twin).update(vars(self), balances=dict(self.balances), log=list(self.log),
+                          settlements=list(self.settlements), _timers=[])
+        return twin
+
     def record(self, tag: str, actor: Optional[AccountId] = None, **detail) -> None:
         entry: dict = {"time": self.clock, "tag": tag}
         if actor is not None:

@@ -20,6 +20,11 @@ client always raises a dispute once a traitor's contract exists, and the
 first report wins.  The outcome is labeled with the terminal node of the
 corresponding extensive-form game family (G1 plain, G2 coalition, G3
 reporting without coalition, G4 coalition plus reporting).
+
+A play is an opening (bids, coalition, report and side delivery, up to t=4),
+which ignores ``ctp_action``, then a settlement (deliveries, arbitration,
+the traitor check, enforcement, the invariants and the ``Outcome``).  Plays
+that differ only in their deliveries can settle forks of one opening.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .contracts import (
     PrisonersContract,
     TCState,
     TraitorsContract,
+    fork,
 )
 from .crypto import (Commitment, CryptoError, GroupParams, Opening, commit, digest, prove_eq,
                      prove_neq, setup)
@@ -306,7 +312,7 @@ def _engage(params: Params, task: Task, gp: GroupParams, seed: int,
     funding = {_CLIENT: 3 * params.w + 2 * params.d, _CLOUDS[0]: stake, _CLOUDS[1]: stake,
                _TTP: 0, _COSTS: 0}
     values = _derive_distinct_values(gp, task, seed)
-    # the first two draws of the play's stream: ``_play`` skips them
+    # the first two draws of the play's stream: ``_open_play`` skips them
     rng = random.Random(seed)
     com_f = commit(gp, digest(gp, task.description_bytes()), rng.randrange(gp.q))
     com_x = commit(gp, digest(gp, task.input_bytes()), rng.randrange(gp.q))
@@ -337,7 +343,32 @@ def run_scenario(
 def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
           traitor_enabled: Optional[bool]) -> Outcome:
     """One play of ``eng`` on a fresh ledger, with fresh contracts and the
-    seed's own random stream."""
+    seed's own random stream: its opening, then its settlement."""
+    return _settle_play(eng, _open_play(eng, strat1, strat2, traitor_enabled), strat1, strat2)
+
+
+class _Opening:
+    """A play up to t=4: the ledger and the contracts after the bids, the
+    coalition offer and join, the report and the side delivery, plus what
+    the settlement reads of them.  It reads only each cloud's
+    ``coalition_role`` and ``report_choice`` and the traitor flag, so the
+    plays that agree on those share one opening, and each settles a
+    ``fork`` of it."""
+
+    def __init__(self, **fields) -> None:
+        vars(self).update(fields)
+
+    def fork(self) -> "_Opening":
+        """A copy with its own ledger and contracts (``contracts.fork``);
+        every other field is immutable and shared."""
+        ledger, clones = fork(self.ledger)
+        return _Opening(**{**vars(self), "ledger": ledger, "ctp": clones[self.ctp],
+                           "ctc": clones.get(self.ctc), "ctt": clones.get(self.ctt)})
+
+
+def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
+               traitor_enabled: Optional[bool]) -> _Opening:
+    """Check the strategies and play ``eng`` from t=0 up to the deliveries."""
     reports = (strat1.report_choice, strat2.report_choice)
     any_report = any(rc is not ReportChoice.NO_REPORT for rc in reports)
     if traitor_enabled is None:
@@ -347,20 +378,17 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     if strat1.coalition_role is Role.INITIATE and strat2.coalition_role is Role.INITIATE:
         raise ScenarioError("inconsistent-strategies", "two initiators")
 
-    gp, task, sched, seed, params = eng.gp, eng.task, eng.schedule, eng.seed, eng.params
-    rng = random.Random(seed)
+    gp, sched, params = eng.gp, eng.schedule, eng.params
+    rng = random.Random(eng.seed)
     rng.randrange(gp.q), rng.randrange(gp.q)  # the blindings of com_f and com_x
-    client, clouds, ttp, costs = _CLIENT, _CLOUDS, _TTP, _COSTS
-    w, c, ch, d, t, b = params.w, eng.task_cost, params.ch, params.d, params.t, params.b
+    client, clouds = _CLIENT, _CLOUDS
+    w, ch, d, t, b = params.w, params.ch, params.d, params.t, params.b
     ledger = Ledger(eng.funding)
-    initial = ledger.snapshot()
-
-    values, m_true, m_r = eng.values, eng.m_true, eng.m_r
     strategies = {clouds[0]: strat1, clouds[1]: strat2}
 
     # --- create the outsourcing contract at t=0 -----------------------------
     ctp = PrisonersContract.create(
-        ledger, gp, client, ttp, eng.com_f, eng.com_x, w, d, ch, sched.T1, sched.T2, sched.T3
+        ledger, gp, client, _TTP, eng.com_f, eng.com_x, w, d, ch, sched.T1, sched.T2, sched.T3
     )
 
     ledger.advance_time(1)
@@ -373,7 +401,7 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     coalition_attempt = initiator is not None
     # both parties learn r and the two blindings off-chain when the offer is made
     s_r = {clouds[0]: rng.randrange(gp.q), clouds[1]: rng.randrange(gp.q)}
-    com_r = {cl: commit(gp, m_r, s_r[cl]) for cl in clouds} if coalition_attempt else {}
+    com_r = {cl: commit(gp, eng.m_r, s_r[cl]) for cl in clouds} if coalition_attempt else {}
     ctc: Optional[ColludersContract] = None
     ledger.advance_time(1)
     if coalition_attempt:
@@ -400,8 +428,8 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
             peer = clouds[1 - clouds.index(reporter)]
             reported_ctc = ColludersContract.create(
                 ledger, ctp, reporter, peer, t, b, sched.T4, sched.T5,
-                com_r_creator=commit(gp, m_r, rng.randrange(gp.q)),
-                com_r_other=commit(gp, m_r, rng.randrange(gp.q)),
+                com_r_creator=commit(gp, eng.m_r, rng.randrange(gp.q)),
+                com_r_other=commit(gp, eng.m_r, rng.randrange(gp.q)),
             )
         ctt = TraitorsContract.create(ledger, ctp, reported_ctc, client, reporter)
         ctt.join(reporter)
@@ -416,22 +444,32 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     if coalition_formed:
         ctc.join(responder)
 
-    computed: set[AccountId] = set()
-
-    def charge_compute(cloud: AccountId) -> None:
-        if cloud not in computed:
-            computed.add(cloud)
-            ledger.transfer(cloud, costs, c, tag="protocol/compute-cost")
-
     o_prime: Optional[Opening] = None  # the reporter's side-result opening
+    computed = frozenset()  # the clouds that paid for computing f(x)
     if ctt is not None:
         if strategies[reporter].report_choice is ReportChoice.REPORT_CORRECT:
-            charge_compute(reporter)
-            m_prime = m_true
+            ledger.transfer(reporter, _COSTS, eng.task_cost, tag="protocol/compute-cost")
+            computed, m_prime = frozenset((reporter,)), eng.m_true
         else:
-            m_prime = digest(gp, values["ywrong"])
+            m_prime = digest(gp, eng.values["ywrong"])
         o_prime = Opening(m_prime, rng.randrange(gp.q))
         ctt.deliver(reporter, commit(gp, o_prime.m, o_prime.s))
+    # the settlement draws at most one blinding per cloud, the stream's next two
+    blindings = (rng.randrange(gp.q), rng.randrange(gp.q))
+    return _Opening(ledger=ledger, ctp=ctp, ctc=ctc, ctt=ctt, traitor_enabled=traitor_enabled,
+                    responder=responder, reporter=reporter, coalition_formed=coalition_formed,
+                    com_r=com_r, s_r=s_r, o_prime=o_prime, computed=computed,
+                    blindings=blindings)
+
+
+def _settle_play(eng: _Engagement, opening: _Opening, strat1: CloudStrategy,
+                 strat2: CloudStrategy) -> Outcome:
+    """Play ``opening`` on from the deliveries at t=5 to the outcome; it
+    changes the opening's ledger and contracts."""
+    gp, sched, client, clouds = eng.gp, eng.schedule, _CLIENT, _CLOUDS
+    ledger, ctp, ctc, ctt = opening.ledger, opening.ctp, opening.ctc, opening.ctt
+    reporter, strategies = opening.reporter, {clouds[0]: strat1, clouds[1]: strat2}
+    blindings = iter(opening.blindings)
 
     # --- deliveries in the outsourcing contract at t=5 ------------------------
     ledger.advance_time(1)
@@ -440,28 +478,24 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
         action = strategies[cloud].ctp_action
         if action is CtpAction.WITHHOLD:
             continue
-        if action is CtpAction.FX:
-            charge_compute(cloud)
-            m_y, s_y = m_true, rng.randrange(gp.q)
-            com_y = commit(gp, m_y, s_y)
-        elif action is CtpAction.R:
-            if coalition_attempt:
-                # deliver exactly the commitment registered in the coalition
-                # contract so conformance is recognized at enforcement
-                com_y, s_y, m_y = com_r[cloud], s_r[cloud], m_r
-            else:
-                m_y, s_y = m_r, rng.randrange(gp.q)
-                com_y = commit(gp, m_y, s_y)
-        else:  # OTHER: a private wrong value
-            m_y = digest(gp, values[f"other{idx + 1}"])
-            s_y = rng.randrange(gp.q)
+        if action is CtpAction.R and opening.com_r:
+            # deliver exactly the commitment registered in the coalition
+            # contract so conformance is recognized at enforcement
+            com_y, s_y, m_y = opening.com_r[cloud], opening.s_r[cloud], eng.m_r
+        else:
+            if action is CtpAction.FX and cloud not in opening.computed:
+                ledger.transfer(cloud, _COSTS, eng.task_cost, tag="protocol/compute-cost")
+            # fx, r with no coalition to conform to, or a private wrong value
+            m_y = (eng.m_true if action is CtpAction.FX else eng.m_r if action is CtpAction.R
+                   else digest(gp, eng.values[f"other{idx + 1}"]))
+            s_y = next(blindings)
             com_y = commit(gp, m_y, s_y)
         ctp.deliver(cloud, com_y)
         y_openings[cloud] = Opening(m_y, s_y)
 
     # --- settlement just after T2 ---------------------------------------------
     ledger.advance_time(sched.T2 + 1 - ledger.clock)
-    ttp_rng = random.Random(seed ^ 0x5EED)
+    ttp_rng = random.Random(eng.seed ^ 0x5EED)
     o1, o2 = (y_openings.get(cl) for cl in clouds)
     # without a report the client pays if nobody delivered or both delivered
     # one value; otherwise, and always once a traitor's contract exists
@@ -472,9 +506,9 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
         ctp.pay(client, prove_eq(gp, ctp.delivered[clouds[0]], ctp.delivered[clouds[1]],
                                  o1, o2, ttp_rng))
     else:
-        o_t = ttp_resolve(ctp, task, y_openings, ttp_rng)
+        o_t = ttp_resolve(ctp, eng.task, y_openings, ttp_rng)
         if ctt is not None and ctt.state is TCState.COMPUTED:
-            proof = None
+            o_prime, proof = opening.o_prime, None
             if o_prime.m % gp.q == o_t.m % gp.q:
                 proof = prove_eq(gp, ctt.com_yprime, ctp.dispute_record.com_yt, o_prime, o_t,
                                  ttp_rng)
@@ -497,14 +531,13 @@ def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
         if acct.kind == "contract" and balance != 0:
             raise ScenarioError("invariant-breach", f"escrow {acct.id} holds {balance}")
 
-    final = ledger.snapshot()
-    deltas = {acct.id: final.get(acct, 0) - initial.get(acct, 0) for acct in eng.funding}
+    deltas = {acct.id: ledger.balance(acct) - funded for acct, funded in eng.funding.items()}
 
     # the game has a coalition prefix iff a coalition formed and a report
     # layer iff the traitor module is on; player 2 is the responder, else the
     # reporter, else cloud2 by convention
-    game_id, role_names = family_of(coalition_formed, traitor_enabled)
-    second = responder if coalition_formed else reporter or clouds[1]
+    game_id, role_names = family_of(opening.coalition_formed, opening.traitor_enabled)
+    second = opening.responder if opening.coalition_formed else reporter or clouds[1]
     players = (clouds[1 - clouds.index(second)], second)
     act = [_ACTION_INDEX[strategies[cl].ctp_action] for cl in players]
     rho = 0 if reporter is None else _REPORT_INDEX[strategies[reporter].report_choice]

@@ -41,7 +41,7 @@ from countercollusion.gametheory import (
     play,
     reference_equilibrium,
 )
-from countercollusion.gametheory import _node_values
+from countercollusion.gametheory import _cell_outcomes, _node_values, _scenario_grid
 from countercollusion.ledger import Params, validate_params
 
 W, C, CH, D, T, B = 100, 10, 201, 212, 309, 5
@@ -784,6 +784,44 @@ def test_a_crosscheck_derives_the_scenario_values_once(monkeypatch):
                         lambda *args: calls.append(args) or derive(*args))
     checked, mismatches = payoff_crosscheck(build_game("g4", STRONG), setup("toy"))
     assert (checked, mismatches, len(calls)) == (29, [], 1)
+
+
+def _cell_by_cell(game, gp, seed):
+    """Each cell's outcome from ``run_scenario`` alone, with the mismatches
+    ``payoff_crosscheck`` would report for them."""
+    outcomes, mismatches = {}, []
+    for nid, s1, s2, traitor_enabled in _scenario_grid(game):
+        out = outcomes[nid] = protocol.run_scenario(game.params, protocol.Task(), s1, s2, gp,
+                                                    seed, traitor_enabled)
+        node, actual = game.nodes[nid], (out.deltas["cloud1"], out.deltas["cloud2"])
+        if out.terminal_label != node.label or actual != node.utilities:
+            mismatches.append({"node": nid, "expected_label": node.label,
+                               "actual_label": out.terminal_label,
+                               "expected_deltas": node.utilities, "actual_deltas": actual})
+    return outcomes, mismatches
+
+
+@pytest.mark.parametrize("t", [309, 314])
+@pytest.mark.parametrize("seed", [5, 7, 59, 113])
+@pytest.mark.parametrize("gid", GAMES)
+def test_forked_cells_equal_fresh_runs(gid, seed, t):
+    """Each cell settles a fork of its group's opening; its whole outcome,
+    transcript and clauses included, is the one a fresh run gives.  At
+    ``t=314`` seed 59 collides in the toy group on g2 and g4, and the
+    crosscheck reports exactly the cell-by-cell mismatches."""
+    game, gp = build_game(gid, BASE._replace(t=t)), setup("toy")
+    fresh, mismatches = _cell_by_cell(game, gp, seed)
+    forked = dict(_cell_outcomes(game, gp, seed))
+    assert list(forked) == list(fresh) and forked == fresh
+    assert payoff_crosscheck(game, gp, seed) == (len(fresh), mismatches)
+    if (seed, t) == (59, 314) and gid in ("g2", "g4"):
+        assert mismatches
+
+
+def test_forked_cells_equal_fresh_runs_on_secp256k1():
+    game, gp = build_game("g1", BASE), setup("secp256k1")
+    fresh, mismatches = _cell_by_cell(game, gp, 7)
+    assert dict(_cell_outcomes(game, gp, 7)) == fresh and mismatches == []
 
 
 def test_normal_form_nash_check_for_coalition_game():

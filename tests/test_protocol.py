@@ -480,3 +480,51 @@ def test_plays_of_one_engagement_equal_fresh_runs():
         for traitor_enabled in (None, True, False):
             fresh = _outcome_or_code(run_scenario, BASE, TASK, s1, s2, TOY, 5, traitor_enabled)
             assert _outcome_or_code(protocol._play, engagement, s1, s2, traitor_enabled) == fresh
+
+
+def _escrows(ledger):
+    return [timer.__self__ for timer in ledger._timers]
+
+
+def _ledger_state(ledger):
+    """Everything a settlement may change on ``ledger`` and its contracts,
+    copied: each contract's containers are copied one level down."""
+    return (dict(ledger.balances), list(ledger.log), list(ledger.settlements), ledger.clock,
+            len(ledger._timers),
+            [{name: value.copy() if isinstance(value, (list, dict)) else value
+              for name, value in vars(contract).items()} for contract in _escrows(ledger)])
+
+
+@pytest.mark.parametrize("s1,s2", [
+    (strat(Role.INITIATE), strat(Role.ACCEPT, ReportChoice.REPORT_CORRECT)),
+    (strat(Role.INITIATE), strat(Role.ACCEPT)),
+    (strat(), strat(report=ReportChoice.REPORT_WRONG)),  # a decoy coalition contract
+], ids=["coalition-report", "coalition", "decoy-report"])
+def test_forks_of_one_opening_share_nothing_a_settlement_changes(s1, s2):
+    """Every delivery pair settles its own fork of one opening; settling them
+    all again in reverse order gives the same outcomes, which are the fresh
+    plays, and leaves the opening as it was."""
+    engagement = protocol._engage(BASE, TASK, TOY, 5, None)
+    opening = protocol._open_play(engagement, s1, s2, None)
+    before = _ledger_state(opening.ledger)
+    pairs = [(s1._replace(ctp_action=a1), s2._replace(ctp_action=a2))
+             for a1 in CtpAction for a2 in CtpAction]
+    forks = [opening.fork() for _ in pairs]
+    outcomes = [protocol._settle_play(engagement, fork, *pair) for fork, pair in zip(forks, pairs)]
+    again = [protocol._settle_play(engagement, opening.fork(), *pair) for pair in reversed(pairs)]
+    assert again[::-1] == outcomes
+    assert outcomes == [protocol._play(engagement, *pair, None) for pair in pairs]
+    assert _ledger_state(opening.ledger) == before
+
+    originals = _escrows(opening.ledger)
+    for fork in forks:
+        clones = _escrows(fork.ledger)
+        assert [type(c) for c in clones] == [type(c) for c in originals]
+        assert all(c.ledger is fork.ledger and c not in originals for c in clones)
+        for clone in clones:
+            for name in ("ctp", "ctc", "traitor_contract"):
+                assert getattr(clone, name, None) is None or getattr(clone, name) in clones
+        assert fork.ctp is clones[0] and (fork.ctt is None) == (opening.ctt is None)
+    for name in ("workers", "delivered"):
+        owned = [getattr(opening.ctp, name)] + [getattr(fork.ctp, name) for fork in forks]
+        assert len({id(obj) for obj in owned}) == len(owned)
