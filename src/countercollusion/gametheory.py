@@ -873,17 +873,19 @@ def _cell_outcomes(game: Game, gp, seed: int):
     ``_scenario_grid(game)``: the play ``run_scenario`` makes at the game's
     parameters over ``gp``.  The engagement is checked and derived once, the
     cells that share roles, reports and the traitor flag share one opening,
-    and each cell settles its own fork of it."""
-    from .protocol import Task, _engage, _open_play, _settle_play
+    and each cell settles its own fork of it.  All cells share one
+    ``Prover``, so a proof is made once per statement and verified in every
+    cell that receives it."""
+    from .protocol import Prover, Task, _engage, _open_play, _settle_play
 
     engagement = _engage(game.params, Task(), gp, seed, None)
-    openings = {}  # kept for this call only
+    prover, openings = Prover(gp, engagement.task, seed), {}  # kept for this call only
     for nid, s1, s2, traitor_enabled in _scenario_grid(game):
         key = (s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
                traitor_enabled)
         if key not in openings:
             openings[key] = _open_play(engagement, s1, s2, traitor_enabled)
-        yield nid, _settle_play(engagement, openings[key].fork(), s1, s2)
+        yield nid, _settle_play(engagement, prover, openings[key].fork(), s1, s2)
 
 
 def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:

@@ -25,6 +25,11 @@ A play is an opening (bids, coalition, report and side delivery, up to t=4),
 which ignores ``ctp_action``, then a settlement (deliveries, arbitration,
 the traitor check, enforcement, the invariants and the ``Outcome``).  Plays
 that differ only in their deliveries can settle forks of one opening.
+
+The off-chain proofs of a settlement come from a ``Prover``: the arbiter's
+random stream, its opening of its own result, and each (in)equality proof
+made once per statement.  ``run_scenario`` makes one per play; the plays of
+one crosscheck share one.  The contracts verify every proof they receive.
 """
 
 from __future__ import annotations
@@ -43,8 +48,8 @@ from .contracts import (
     TraitorsContract,
     fork,
 )
-from .crypto import (Commitment, CryptoError, GroupParams, Opening, commit, digest, prove_eq,
-                     prove_neq, setup)
+from .crypto import (Commitment, CryptoError, EqProof, GroupParams, NeqProof, Opening, commit,
+                     digest, prove_eq, prove_neq, setup)
 from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -56,6 +61,7 @@ __all__ = [
     "Task",
     "Schedule",
     "Outcome",
+    "Prover",
     "ScenarioError",
     "run_scenario",
     "setup",
@@ -231,27 +237,64 @@ def _derive_distinct_values(gp, task: Task, seed: int) -> dict[str, bytes]:
 # ---------------------------------------------------------------------------
 
 
-def ttp_resolve(ctp: PrisonersContract, task: Task, received: dict[AccountId, Opening], rng) -> Opening:
-    """The arbiter recomputes the result and settles the dispute.
+class Prover:
+    """The off-chain prover of one engagement: the arbiter's random stream
+    ``Random(seed ^ 0x5EED)``, the arbiter's opening of its own result, and
+    every (in)equality proof the arbiter and the client make from them.
+
+    Each proof is made once per statement ``(c1, c2, o1, o2)`` and handed
+    out again whenever that statement is asked for again, in the same play
+    or a later play of the engagement; the contracts still verify it every
+    time.  The arbiter's opening is drawn and committed on the first
+    dispute, so a play settled without one commits nothing more, and a
+    play whose statements are distinct draws the stream in the order a
+    play always did.
+    """
+
+    def __init__(self, gp: GroupParams, task: Task, seed: int) -> None:
+        self.gp, self.task = gp, task
+        self.rng = random.Random(seed ^ 0x5EED)
+        self.proofs: dict[tuple, EqProof | NeqProof] = {}
+        self.arbiter: Optional[tuple[Opening, Commitment]] = None
+
+    def arbiter_opening(self) -> tuple[Opening, Commitment]:
+        """The arbiter's result opening and its commitment ``com_yt``."""
+        if self.arbiter is None:
+            gp = self.gp
+            opening = Opening(digest(gp, self.task.evaluate()), self.rng.randrange(gp.q))
+            self.arbiter = opening, commit(gp, opening.m, opening.s)
+        return self.arbiter
+
+    def prove(self, c1: Commitment, c2: Commitment, o1: Opening, o2: Opening) -> EqProof | NeqProof:
+        """An equality proof if ``o1`` and ``o2`` hide one message, else an
+        inequality proof.  ``CryptoError('witness-mismatch')`` if they do not
+        open ``c1`` and ``c2``; nothing is kept then."""
+        key = (c1, c2, o1, o2)
+        proof = self.proofs.get(key)
+        if proof is None:
+            prove = prove_eq if o1.m % self.gp.q == o2.m % self.gp.q else prove_neq
+            proof = self.proofs[key] = prove(self.gp, c1, c2, o1, o2, self.rng)
+        return proof
+
+
+def ttp_resolve(ctp: PrisonersContract, prover: Prover,
+                received: dict[AccountId, Opening]) -> Opening:
+    """The arbiter settles the dispute from its own result, which ``prover``
+    recomputes on the engagement's first dispute.
 
     ``received`` holds the per-cloud result openings the client forwarded.
     Returns the arbiter's own result opening (forwarded back to the client,
     who may need it to prove a reporter's side-commitment correct).
     """
-    gp = ctp.gp
-    m_true = digest(gp, task.evaluate())
-    s_t = rng.randrange(gp.q)
-    com_yt = commit(gp, m_true, s_t)
-    opening_t = Opening(m_true, s_t)
+    opening_t, com_yt = prover.arbiter_opening()
     nizks = []
     for worker in ctp.workers:
         com_y = ctp.delivered.get(worker)
         opening = received.get(worker)
         nizk = None
         if com_y is not None and opening is not None:
-            prove = prove_eq if opening.m % gp.q == m_true else prove_neq
             try:
-                nizk = prove(gp, com_y, com_yt, opening, opening_t, rng)
+                nizk = prover.prove(com_y, com_yt, opening, opening_t)
             except CryptoError as exc:
                 # an opening that does not open the delivery earns no proof
                 if exc.code != "witness-mismatch":
@@ -342,9 +385,11 @@ def run_scenario(
 
 def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
           traitor_enabled: Optional[bool]) -> Outcome:
-    """One play of ``eng`` on a fresh ledger, with fresh contracts and the
-    seed's own random stream: its opening, then its settlement."""
-    return _settle_play(eng, _open_play(eng, strat1, strat2, traitor_enabled), strat1, strat2)
+    """One play of ``eng`` on a fresh ledger, with fresh contracts, the
+    seed's own random stream and its own ``Prover``: its opening, then its
+    settlement."""
+    return _settle_play(eng, Prover(eng.gp, eng.task, eng.seed),
+                        _open_play(eng, strat1, strat2, traitor_enabled), strat1, strat2)
 
 
 class _Opening:
@@ -462,10 +507,11 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
                     blindings=blindings)
 
 
-def _settle_play(eng: _Engagement, opening: _Opening, strat1: CloudStrategy,
+def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: CloudStrategy,
                  strat2: CloudStrategy) -> Outcome:
-    """Play ``opening`` on from the deliveries at t=5 to the outcome; it
-    changes the opening's ledger and contracts."""
+    """Play ``opening`` on from the deliveries at t=5 to the outcome, with
+    the proofs ``prover`` makes for ``eng``; it changes the opening's ledger
+    and contracts."""
     gp, sched, client, clouds = eng.gp, eng.schedule, _CLIENT, _CLOUDS
     ledger, ctp, ctc, ctt = opening.ledger, opening.ctp, opening.ctc, opening.ctt
     reporter, strategies = opening.reporter, {clouds[0]: strat1, clouds[1]: strat2}
@@ -495,7 +541,6 @@ def _settle_play(eng: _Engagement, opening: _Opening, strat1: CloudStrategy,
 
     # --- settlement just after T2 ---------------------------------------------
     ledger.advance_time(sched.T2 + 1 - ledger.clock)
-    ttp_rng = random.Random(eng.seed ^ 0x5EED)
     o1, o2 = (y_openings.get(cl) for cl in clouds)
     # without a report the client pays if nobody delivered or both delivered
     # one value; otherwise, and always once a traitor's contract exists
@@ -503,15 +548,13 @@ def _settle_play(eng: _Engagement, opening: _Opening, strat1: CloudStrategy,
     if ctt is None and not y_openings:
         ctp.pay(client, None)
     elif ctt is None and o1 is not None and o2 is not None and o1.m % gp.q == o2.m % gp.q:
-        ctp.pay(client, prove_eq(gp, ctp.delivered[clouds[0]], ctp.delivered[clouds[1]],
-                                 o1, o2, ttp_rng))
+        ctp.pay(client, prover.prove(ctp.delivered[clouds[0]], ctp.delivered[clouds[1]], o1, o2))
     else:
-        o_t = ttp_resolve(ctp, eng.task, y_openings, ttp_rng)
+        o_t = ttp_resolve(ctp, prover, y_openings)
         if ctt is not None and ctt.state is TCState.COMPUTED:
             o_prime, proof = opening.o_prime, None
             if o_prime.m % gp.q == o_t.m % gp.q:
-                proof = prove_eq(gp, ctt.com_yprime, ctp.dispute_record.com_yt, o_prime, o_t,
-                                 ttp_rng)
+                proof = prover.prove(ctt.com_yprime, ctp.dispute_record.com_yt, o_prime, o_t)
             ctt.check(client, proof)
 
     # --- coalition enforcement after T5 ----------------------------------------

@@ -12,6 +12,7 @@ Frozen oracle values (hand-computed before the engine existed):
   so the check must fail there and pass once t > z + d.
 """
 
+import collections
 import itertools
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from countercollusion import protocol
+from countercollusion import crypto, protocol
 from countercollusion.crypto import setup
 from countercollusion.gametheory import (
     Assessment,
@@ -801,27 +802,78 @@ def _cell_by_cell(game, gp, seed):
     return outcomes, mismatches
 
 
+class _ProofLog:
+    """Records, while installed, each statement ``(c1, c2, o1, o2)`` a
+    ``Prover`` is asked for, each ``(statement, proof)`` the provers make,
+    and each ``(tag, c1, c2, proof)`` a verifier checks."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.asked, self.made, self.verified = [], [], []
+        ask = protocol.Prover.prove
+        monkeypatch.setattr(protocol.Prover, "prove",
+                            lambda prover, *st: self.asked.append(st) or ask(prover, *st))
+        for name in ("prove_eq", "prove_neq"):
+            monkeypatch.setattr(protocol, name, self._making(getattr(protocol, name)))
+        # the verifiers' shared core, so a verdict kept anywhere above it shows
+        monkeypatch.setattr(crypto, "_verify", self._verifying(crypto._verify))
+
+    def _making(self, prove):
+        def made(gp, c1, c2, o1, o2, rng):
+            proof = prove(gp, c1, c2, o1, o2, rng)
+            self.made.append(((c1, c2, o1, o2), proof))
+            return proof
+        return made
+
+    def _verifying(self, verify):
+        def verified(gp, tag, c1, c2, t, etas):
+            self.verified.append((tag, c1, c2, (t, *etas)))
+            return verify(gp, tag, c1, c2, t, etas)
+        return verified
+
+    def clear(self) -> None:
+        for records in (self.asked, self.made, self.verified):
+            records.clear()
+
+
+def _check_forked_cells(monkeypatch, game, gp, seed):
+    """Assert that every cell of the crosscheck is its fresh run, that the
+    crosscheck proves each statement once, when it is first asked for, and
+    that its contracts verify as many proofs of each kind as the fresh runs
+    do, each one a proof it made.  Returns the fresh runs and their
+    mismatches."""
+    log = _ProofLog(monkeypatch)
+    fresh, mismatches = _cell_by_cell(game, gp, seed)
+    fresh_checks = collections.Counter(tag for tag, *_ in log.verified)
+    log.clear()
+    forked = dict(_cell_outcomes(game, gp, seed))
+    assert list(forked) == list(fresh) and forked == fresh
+    assert [statement for statement, _ in log.made] == list(dict.fromkeys(log.asked))
+    assert collections.Counter(tag for tag, *_ in log.verified) == fresh_checks
+    made = {(c1, c2, tuple(proof)) for (c1, c2, _, _), proof in log.made}
+    assert all(tuple(check[1:]) in made for check in log.verified)
+    return fresh, mismatches
+
+
 @pytest.mark.parametrize("t", [309, 314])
 @pytest.mark.parametrize("seed", [5, 7, 59, 113])
 @pytest.mark.parametrize("gid", GAMES)
-def test_forked_cells_equal_fresh_runs(gid, seed, t):
-    """Each cell settles a fork of its group's opening; its whole outcome,
-    transcript and clauses included, is the one a fresh run gives.  At
-    ``t=314`` seed 59 collides in the toy group on g2 and g4, and the
-    crosscheck reports exactly the cell-by-cell mismatches."""
+def test_forked_cells_equal_fresh_runs(monkeypatch, gid, seed, t):
+    """Each cell settles a fork of its group's opening with the proofs of
+    one shared prover; its whole outcome, transcript and clauses included,
+    is the one a fresh run gives.  At ``t=314`` seed 59 collides in the toy
+    group on g2 and g4, and the crosscheck reports exactly the cell-by-cell
+    mismatches."""
     game, gp = build_game(gid, BASE._replace(t=t)), setup("toy")
-    fresh, mismatches = _cell_by_cell(game, gp, seed)
-    forked = dict(_cell_outcomes(game, gp, seed))
-    assert list(forked) == list(fresh) and forked == fresh
+    fresh, mismatches = _check_forked_cells(monkeypatch, game, gp, seed)
     assert payoff_crosscheck(game, gp, seed) == (len(fresh), mismatches)
     if (seed, t) == (59, 314) and gid in ("g2", "g4"):
         assert mismatches
 
 
-def test_forked_cells_equal_fresh_runs_on_secp256k1():
+def test_forked_cells_equal_fresh_runs_on_secp256k1(monkeypatch):
     game, gp = build_game("g1", BASE), setup("secp256k1")
-    fresh, mismatches = _cell_by_cell(game, gp, 7)
-    assert dict(_cell_outcomes(game, gp, 7)) == fresh and mismatches == []
+    _, mismatches = _check_forked_cells(monkeypatch, game, gp, 7)
+    assert mismatches == []
 
 
 def test_normal_form_nash_check_for_coalition_game():

@@ -8,11 +8,14 @@ oracle for every cell of the four outcome families.
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
-from countercollusion import protocol
-from countercollusion.crypto import setup
+from countercollusion import crypto, protocol
+from countercollusion.contracts import PrisonersContract, TraitorsContract
+from countercollusion.crypto import (CryptoError, Opening, commit, digest, prove_eq, prove_neq,
+                                     setup)
 from countercollusion.ledger import Params
 from countercollusion.protocol import (
     CloudStrategy,
@@ -464,6 +467,125 @@ def test_scenario_runs_are_byte_identical():
     assert h.hexdigest() == SCENARIO_SUBSET_DIGEST
 
 
+def _per_play_ttp_resolve(ctp, task, received, rng):
+    """``ttp_resolve`` as it was when each play drew its own arbiter stream:
+    it recomputes the result and opens it afresh at every dispute."""
+    gp = ctp.gp
+    m_true = digest(gp, task.evaluate())
+    s_t = rng.randrange(gp.q)
+    com_yt = commit(gp, m_true, s_t)
+    opening_t = Opening(m_true, s_t)
+    nizks = []
+    for worker in ctp.workers:
+        com_y = ctp.delivered.get(worker)
+        opening = received.get(worker)
+        nizk = None
+        if com_y is not None and opening is not None:
+            prove = prove_eq if opening.m % gp.q == m_true else prove_neq
+            try:
+                nizk = prove(gp, com_y, com_yt, opening, opening_t, rng)
+            except CryptoError as exc:
+                if exc.code != "witness-mismatch":
+                    raise
+        nizks.append(nizk)
+    ctp.dispute(ctp.ttp, com_yt, nizks[0], nizks[1])
+    return opening_t
+
+
+class _PerPlayStream:
+    """The oracle for ``protocol.Prover``: the play's own stream
+    ``Random(seed ^ 0x5EED)``, which ``_per_play_ttp_resolve`` draws at the
+    dispute and from which the client's proofs are made on the spot."""
+
+    def __init__(self, gp, task, seed):
+        self.gp, self.task, self.rng = gp, task, random.Random(seed ^ 0x5EED)
+
+    def prove(self, c1, c2, o1, o2):
+        return prove_eq(self.gp, c1, c2, o1, o2, self.rng)
+
+
+def _use_per_play_stream(patch):
+    patch.setattr(protocol, "Prover", _PerPlayStream)
+    patch.setattr(protocol, "ttp_resolve", lambda ctp, stream, openings:
+                  _per_play_ttp_resolve(ctp, stream.task, openings, stream.rng))
+
+
+def _received_proofs(monkeypatch, gp, seed, s1, s2, traitor_enabled, oracle=False):
+    """Play one scenario and return what ``pay``, ``dispute`` and ``check``
+    received besides the caller (proofs, and the arbiter's ``com_yt``), or
+    the error code; with ``oracle``, over the per-play stream instead."""
+    received = []
+    with monkeypatch.context() as patch:
+        for cls, name in ((PrisonersContract, "pay"), (PrisonersContract, "dispute"),
+                          (TraitorsContract, "check")):
+            call = getattr(cls, name)
+            patch.setattr(cls, name, lambda contract, caller, *args, call=call, name=name:
+                          received.append((name, args)) or call(contract, caller, *args))
+        if oracle:
+            _use_per_play_stream(patch)
+        code = _outcome_or_code(run_scenario, BASE, TASK, s1, s2, gp, seed, traitor_enabled)
+    return received if isinstance(code, protocol.Outcome) else code
+
+
+def test_a_play_makes_the_proofs_of_its_own_stream(monkeypatch):
+    """One play's prover draws the stream as each play drew it on its own:
+    ``pay``, ``dispute`` and ``check`` receive the proofs the per-play
+    stream makes, byte for byte, on every 40th consistent strategy pair
+    with each traitor flag on toy, and on a few pairs on secp256k1.  None
+    of these plays asks for one statement twice (see the next test)."""
+    strategies = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
+    pairs = [(s1, s2) for s1, s2 in itertools.product(strategies, strategies)
+             if not (s1.coalition_role is Role.INITIATE and s2.coalition_role is Role.INITIATE)]
+    assert len(pairs) == 2160
+    secp = setup("secp256k1")
+    runs = [(TOY, seed, *pair, flag) for seed in (5, 59) for pair in pairs[::40]
+            for flag in (None, True, False)]
+    runs += [(secp, 7, strat(), strat(), None),  # honest, paid with an equality proof
+             (secp, 7, strat(), strat(action=CtpAction.OTHER), None),  # arbitrated, clause 10c
+             (secp, 7, strat(Role.INITIATE, action=CtpAction.R),
+              strat(Role.ACCEPT, ReportChoice.REPORT_CORRECT), None)]  # arbitrated and checked
+    disputes = checks = 0
+    for run in runs:
+        received = _received_proofs(monkeypatch, *run)
+        assert received == _received_proofs(monkeypatch, *run, oracle=True)
+        if not isinstance(received, str):
+            disputes += any(name == "dispute" for name, _ in received)
+            checks += any(name == "check" and args != (None,) for name, args in received)
+    assert disputes > 100 and checks > 10
+
+
+def test_a_play_that_asks_for_one_statement_twice_gets_one_proof(monkeypatch):
+    """The exception to the per-play stream: at seed 61 on toy the
+    reporter's side blinding equals its delivery blinding, so the traitor
+    check asks for the statement the dispute proved for that cloud.  The
+    prover hands out that proof again, where the per-play stream drew a
+    fresh one; the verdicts and the outcome are the same."""
+    s1, s2 = strat(), strat(Role.REJECT, ReportChoice.REPORT_CORRECT)
+    (_, dispute), (_, check) = _received_proofs(monkeypatch, TOY, 61, s1, s2, None)
+    (_, stream_dispute), (_, stream_check) = _received_proofs(monkeypatch, TOY, 61, s1, s2, None,
+                                                              oracle=True)
+    assert check == dispute[2:] and stream_dispute == dispute and stream_check != check
+    outcome = run_scenario(BASE, TASK, s1, s2, TOY, 61)
+    with monkeypatch.context() as patch:
+        _use_per_play_stream(patch)
+        assert run_scenario(BASE, TASK, s1, s2, TOY, 61) == outcome
+
+
+@pytest.mark.parametrize("group", ["toy", "secp256k1"])
+def test_an_honest_play_commits_nothing_for_the_arbiter(monkeypatch, group):
+    """An honest play is paid without arbitration, so its prover never opens
+    the arbiter's result: it makes as many commitments as the per-play
+    stream, which committed ``com_yt`` only at a dispute."""
+    gp, commits = setup(group), []
+    counted = crypto.commit
+    for module in (crypto, protocol):
+        monkeypatch.setattr(module, "commit", lambda *args: commits.append(args) or counted(*args))
+    honest = _received_proofs(monkeypatch, gp, 7, strat(), strat(), None)
+    made = len(commits)
+    assert honest == _received_proofs(monkeypatch, gp, 7, strat(), strat(), None, oracle=True)
+    assert [name for name, _ in honest] == ["pay"] and made == len(commits) - made
+
+
 def _outcome_or_code(play, *args):
     try:
         return play(*args)
@@ -510,8 +632,11 @@ def test_forks_of_one_opening_share_nothing_a_settlement_changes(s1, s2):
     pairs = [(s1._replace(ctp_action=a1), s2._replace(ctp_action=a2))
              for a1 in CtpAction for a2 in CtpAction]
     forks = [opening.fork() for _ in pairs]
-    outcomes = [protocol._settle_play(engagement, fork, *pair) for fork, pair in zip(forks, pairs)]
-    again = [protocol._settle_play(engagement, opening.fork(), *pair) for pair in reversed(pairs)]
+    provers = [protocol.Prover(TOY, TASK, 5) for _ in range(2)]
+    outcomes = [protocol._settle_play(engagement, provers[0], fork, *pair)
+                for fork, pair in zip(forks, pairs)]
+    again = [protocol._settle_play(engagement, provers[1], opening.fork(), *pair)
+             for pair in reversed(pairs)]
     assert again[::-1] == outcomes
     assert outcomes == [protocol._play(engagement, *pair, None) for pair in pairs]
     assert _ledger_state(opening.ledger) == before
