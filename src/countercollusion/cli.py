@@ -515,32 +515,38 @@ _COMMANDS = {
 }
 
 
-def _build_parser(commands: tuple[str, ...] = tuple(_COMMANDS)) -> argparse.ArgumentParser:
-    """The parser with a subparser for each of ``commands``.  Its usage
-    line names all five commands even when fewer are built, so the usage
-    errors of a partial parser read as the full one's."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add command ``name``'s flags, ``--out`` and its handler to ``parser``."""
+    _, add_flags, handler = _COMMANDS[name]
+    add_flags(parser)
+    parser.add_argument("--out", help="write the JSON report to this file")
+    parser.set_defaults(func=handler)
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with a subparser for each command."""
     parser = argparse.ArgumentParser(
         prog="countercollusion",
         description="Contract-based counter-collusion simulator and verifier",
     )
-    every = "{%s}" % ",".join(_COMMANDS)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if len(commands) == len(_COMMANDS) else every)
-    for name in commands:
-        help_text, add_flags, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_flags(p)
-        p.add_argument("--out", help="write the JSON report to this file")
-        p.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # build the named command's subparser alone; all five for help or a bad name
+    # A named command parses with its own parser, the full parser's subparser
+    # for it.  Help, a missing or unknown command, and arguments the command
+    # leaves over go to the full parser, whose usage and errors they are.
     named = argv[0] if argv and argv[0] in _COMMANDS else None
-    parser = _build_parser((named,) if named else tuple(_COMMANDS))
-    args = parser.parse_args(argv)
+    if named:
+        own = argparse.ArgumentParser(prog=f"countercollusion {named}")
+        args, extra = _add_command(own, named).parse_known_args(argv[1:])
+    if not named or extra:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

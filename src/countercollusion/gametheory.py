@@ -304,12 +304,14 @@ _FAMILIES = {
 
 GAME_IDS = tuple(_FAMILIES)
 
+#: ``(coalition, report)`` -> the id and the role names of that family
+_FAMILY_OF = {(f.coalition, f.report): (g, f.roles) for g, f in _FAMILIES.items()}
+
 
 def family_of(coalition: bool, report: bool) -> tuple[str, tuple[str, str]]:
     """The id and the role names of the family with (or without) the
     coalition prefix and the report layer."""
-    return next((g, f.roles) for g, f in _FAMILIES.items()
-                if f.coalition == coalition and f.report == report)
+    return _FAMILY_OF[coalition, report]
 
 
 def _layout(game_id: str):
@@ -873,19 +875,23 @@ def _cell_outcomes(game: Game, gp, seed: int):
     ``_scenario_grid(game)``: the play ``run_scenario`` makes at the game's
     parameters over ``gp``.  The engagement is checked and derived once, the
     cells that share roles, reports and the traitor flag share one opening,
-    and each cell settles its own fork of it.  All cells share one
+    and each cell settles its own fork of it, except the opening's last
+    cell, which settles the opening itself.  All cells share one
     ``Prover``, so a proof is made once per statement and verified in every
     cell that receives it."""
     from .protocol import Prover, Task, _engage, _open_play, _settle_play
 
     engagement = _engage(game.params, Task(), gp, seed, None)
     prover, openings = Prover(gp, engagement.task, seed), {}  # kept for this call only
-    for nid, s1, s2, traitor_enabled in _scenario_grid(game):
-        key = (s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
-               traitor_enabled)
+    grid = list(_scenario_grid(game))
+    keys = [(s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
+             traitor_enabled) for _, s1, s2, traitor_enabled in grid]
+    last = {key: i for i, key in enumerate(keys)}  # each opening's last cell
+    for i, ((nid, s1, s2, traitor_enabled), key) in enumerate(zip(grid, keys)):
         if key not in openings:
             openings[key] = _open_play(engagement, s1, s2, traitor_enabled)
-        yield nid, _settle_play(engagement, prover, openings[key].fork(), s1, s2)
+        opening = openings.pop(key) if last[key] == i else openings[key].fork()
+        yield nid, _settle_play(engagement, prover, opening, s1, s2)
 
 
 def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:

@@ -141,12 +141,10 @@ class Ledger:
         return twin
 
     def record(self, tag: str, actor: Optional[AccountId] = None, **detail) -> None:
-        entry: dict = {"time": self.clock, "tag": tag}
-        if actor is not None:
-            entry["actor"] = actor.id
-        if detail:
-            entry.update(detail)
-        self.log.append(entry)
+        if actor is None:
+            self.log.append({"time": self.clock, "tag": tag, **detail})
+        else:
+            self.log.append({"time": self.clock, "tag": tag, "actor": actor.id, **detail})
 
     # -- money movement --------------------------------------------------------
 

@@ -212,24 +212,21 @@ class Outcome(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _derive_distinct_values(gp, task: Task, seed: int) -> dict[str, bytes]:
+def _derive_distinct_values(gp, task: Task, seed: int) -> dict[str, int]:
     """Derive the shared cheap result ``r`` and per-cloud wrong values so all
     committed digests are pairwise distinct (required so other-vs-other
-    mismatches stay mismatches even in the toy group)."""
-    y_true = task.evaluate()
-    values: dict[str, bytes] = {"y_true": y_true}
-    taken = {digest(gp, y_true)}
+    mismatches stay mismatches even in the toy group).  Returns the digest
+    of the task's result ``y_true`` and of each derived value, by name."""
+    digests = {"y_true": digest(gp, task.evaluate())}
     for name in ("r", "other1", "other2", "ywrong"):
         counter = 0
         while True:
-            candidate = b"%s|%d|%d" % (name.encode(), seed, counter)
-            dg = digest(gp, candidate)
-            if dg not in taken:
-                taken.add(dg)
-                values[name] = candidate
+            dg = digest(gp, b"%s|%d|%d" % (name.encode(), seed, counter))
+            if dg not in digests.values():
+                digests[name] = dg
                 break
             counter += 1
-    return values
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +318,9 @@ _COSTS = AccountId("costs", kind="sink")
 
 class _Engagement(NamedTuple):
     """What every play of one engagement shares, whatever the strategies:
-    the checked parameters, task and schedule, the derived values and their
-    digests, the funding, and the two commitments the outsourcing contract
-    is created with."""
+    the checked parameters, task and schedule, the funding, the digests of
+    the task's result and of the derived values (``_derive_distinct_values``),
+    and the two commitments the outsourcing contract is created with."""
 
     params: Params
     task: Task
@@ -332,9 +329,7 @@ class _Engagement(NamedTuple):
     schedule: Schedule
     task_cost: Money
     funding: dict[AccountId, Money]
-    values: dict[str, bytes]
-    m_true: int
-    m_r: int
+    digests: dict[str, int]
     com_f: Commitment
     com_x: Commitment
 
@@ -354,13 +349,12 @@ def _engage(params: Params, task: Task, gp: GroupParams, seed: int,
     stake = params.d + params.t + params.b + params.ch + task_cost
     funding = {_CLIENT: 3 * params.w + 2 * params.d, _CLOUDS[0]: stake, _CLOUDS[1]: stake,
                _TTP: 0, _COSTS: 0}
-    values = _derive_distinct_values(gp, task, seed)
+    digests = _derive_distinct_values(gp, task, seed)
     # the first two draws of the play's stream: ``_open_play`` skips them
     rng = random.Random(seed)
     com_f = commit(gp, digest(gp, task.description_bytes()), rng.randrange(gp.q))
     com_x = commit(gp, digest(gp, task.input_bytes()), rng.randrange(gp.q))
-    return _Engagement(params, task, gp, seed, sched, task_cost, funding, values,
-                      digest(gp, values["y_true"]), digest(gp, values["r"]), com_f, com_x)
+    return _Engagement(params, task, gp, seed, sched, task_cost, funding, digests, com_f, com_x)
 
 
 def run_scenario(
@@ -423,7 +417,7 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     if strat1.coalition_role is Role.INITIATE and strat2.coalition_role is Role.INITIATE:
         raise ScenarioError("inconsistent-strategies", "two initiators")
 
-    gp, sched, params = eng.gp, eng.schedule, eng.params
+    gp, sched, params, digests = eng.gp, eng.schedule, eng.params, eng.digests
     rng = random.Random(eng.seed)
     rng.randrange(gp.q), rng.randrange(gp.q)  # the blindings of com_f and com_x
     client, clouds = _CLIENT, _CLOUDS
@@ -446,7 +440,7 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     coalition_attempt = initiator is not None
     # both parties learn r and the two blindings off-chain when the offer is made
     s_r = {clouds[0]: rng.randrange(gp.q), clouds[1]: rng.randrange(gp.q)}
-    com_r = {cl: commit(gp, eng.m_r, s_r[cl]) for cl in clouds} if coalition_attempt else {}
+    com_r = {cl: commit(gp, digests["r"], s_r[cl]) for cl in clouds} if coalition_attempt else {}
     ctc: Optional[ColludersContract] = None
     ledger.advance_time(1)
     if coalition_attempt:
@@ -473,8 +467,8 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
             peer = clouds[1 - clouds.index(reporter)]
             reported_ctc = ColludersContract.create(
                 ledger, ctp, reporter, peer, t, b, sched.T4, sched.T5,
-                com_r_creator=commit(gp, eng.m_r, rng.randrange(gp.q)),
-                com_r_other=commit(gp, eng.m_r, rng.randrange(gp.q)),
+                com_r_creator=commit(gp, digests["r"], rng.randrange(gp.q)),
+                com_r_other=commit(gp, digests["r"], rng.randrange(gp.q)),
             )
         ctt = TraitorsContract.create(ledger, ctp, reported_ctc, client, reporter)
         ctt.join(reporter)
@@ -494,9 +488,9 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     if ctt is not None:
         if strategies[reporter].report_choice is ReportChoice.REPORT_CORRECT:
             ledger.transfer(reporter, _COSTS, eng.task_cost, tag="protocol/compute-cost")
-            computed, m_prime = frozenset((reporter,)), eng.m_true
+            computed, m_prime = frozenset((reporter,)), digests["y_true"]
         else:
-            m_prime = digest(gp, eng.values["ywrong"])
+            m_prime = digests["ywrong"]
         o_prime = Opening(m_prime, rng.randrange(gp.q))
         ctt.deliver(reporter, commit(gp, o_prime.m, o_prime.s))
     # the settlement draws at most one blinding per cloud, the stream's next two
@@ -512,7 +506,7 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
     """Play ``opening`` on from the deliveries at t=5 to the outcome, with
     the proofs ``prover`` makes for ``eng``; it changes the opening's ledger
     and contracts."""
-    gp, sched, client, clouds = eng.gp, eng.schedule, _CLIENT, _CLOUDS
+    gp, sched, client, clouds, digests = eng.gp, eng.schedule, _CLIENT, _CLOUDS, eng.digests
     ledger, ctp, ctc, ctt = opening.ledger, opening.ctp, opening.ctc, opening.ctt
     reporter, strategies = opening.reporter, {clouds[0]: strat1, clouds[1]: strat2}
     blindings = iter(opening.blindings)
@@ -527,13 +521,13 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
         if action is CtpAction.R and opening.com_r:
             # deliver exactly the commitment registered in the coalition
             # contract so conformance is recognized at enforcement
-            com_y, s_y, m_y = opening.com_r[cloud], opening.s_r[cloud], eng.m_r
+            com_y, s_y, m_y = opening.com_r[cloud], opening.s_r[cloud], digests["r"]
         else:
             if action is CtpAction.FX and cloud not in opening.computed:
                 ledger.transfer(cloud, _COSTS, eng.task_cost, tag="protocol/compute-cost")
             # fx, r with no coalition to conform to, or a private wrong value
-            m_y = (eng.m_true if action is CtpAction.FX else eng.m_r if action is CtpAction.R
-                   else digest(gp, eng.values[f"other{idx + 1}"]))
+            m_y = digests["y_true" if action is CtpAction.FX else "r" if action is CtpAction.R
+                          else f"other{idx + 1}"]
             s_y = next(blindings)
             com_y = commit(gp, m_y, s_y)
         ctp.deliver(cloud, com_y)

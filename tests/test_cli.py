@@ -356,35 +356,62 @@ def test_a_command_sets_up_one_group_and_builds_one_game(capsys, tmp_path, monke
 
 
 # ---------------------------------------------------------------------------
-# The parser: one command's subparser per call
+# The parser: one command's own parser per call
 # ---------------------------------------------------------------------------
 
 
-def _parse_exit(capsys, parser, argv):
-    """Exit code, stdout and stderr of a parse that exits (help or a usage error)."""
-    with pytest.raises(SystemExit) as exc:
-        parser.parse_args(argv)
-    out, err = capsys.readouterr()
-    return exc.value.code, out, err
+def _parse_outcome(capsys, parse, argv):
+    """The exit code, stdout and stderr of a parse of ``argv`` that exits
+    (help or a usage error), else the parsed arguments but ``command``."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out, err
+    return {name: value for name, value in vars(args).items() if name != "command"}
 
 
 #: the flags each command requires
 _REQUIRED = {"analyze": ["--game", "g1"], "batch": ["--config", "batch.json"]}
+#: a bad choice and a non-integer parameter, for the commands that take them
+_BAD_VALUES = {
+    "check-params": [["--w", "x"]],
+    "run": [["--group", "nope"], ["--seed", "x"]],
+    "analyze": [["--game", "g9"], ["--t", "x"], ["--kmax", "1e3"]],
+    "crypto-selftest": [["--group", "nope"]],
+    "batch": [["--group", "nope"]],
+}
+_FULL_USAGE = "usage: countercollusion [-h] {%s}" % ",".join(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_one_command_parser_reads_as_the_full_one(capsys, command):
-    full, one = cli._build_parser(), cli._build_parser((command,))
-    assert _parse_exit(capsys, one, [command, "--help"])[0] == 0
-    # --out without a value fails in the subparser; an unknown flag after
-    # the required ones fails in the top-level parser, whose usage line
-    # names every command
+def test_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, command):
+    """``main`` parses a named command with that command's parser alone:
+    help, every usage error and every parsed argument list read exactly as
+    the full parser's.  Arguments the command leaves over (an unknown flag,
+    a stray positional, a trailing ``--``) fail in the full parser, whose
+    usage line names every command."""
+    help_text, add_flags, _ = cli._COMMANDS[command]
+    # the handler hands the parsed arguments back instead of running
+    monkeypatch.setitem(cli._COMMANDS, command, (help_text, add_flags, lambda args: args))
     required = _REQUIRED.get(command, [])
-    for argv in ([command, "--help"], [command, "--out"],
-                 [command, *required, "--no-such-flag"]):
-        code, out, err = _parse_exit(capsys, one, argv)
-        assert (code, out, err) == _parse_exit(capsys, full, argv), argv
-        assert code == 0 or (code == 2 and not out and "usage: countercollusion" in err)
+    helps = [["--help"], ["-h"]]
+    parsed = [required, [*required, "--out", "r.json"]]
+    errors = [["--out"]] + [[*required, *bad] for bad in _BAD_VALUES[command]]
+    leftovers = [[*required, "--no-such-flag"], [*required, "stray"], [*required, "--"]]
+    for case in helps + parsed + errors + leftovers:
+        argv = [command, *case]
+        outcome = _parse_outcome(capsys, main, argv)
+        assert outcome == _parse_outcome(capsys, cli._build_parser().parse_args, argv), argv
+        if case in helps:
+            assert outcome[0] == 0 and outcome[1].startswith(f"usage: countercollusion {command}")
+        elif case in parsed:
+            assert isinstance(outcome, dict), argv
+        else:
+            assert outcome[0] == 2 and not outcome[1], argv
+        if case in leftovers:
+            # the usage line wraps at the terminal's width
+            assert " ".join(outcome[2].split()).startswith(_FULL_USAGE), argv
 
 
 def _count_subparsers(monkeypatch) -> list:
@@ -399,11 +426,26 @@ def _count_subparsers(monkeypatch) -> list:
     return added
 
 
+def _count_parsers(monkeypatch) -> list:
+    """Record the ``prog`` of every ``ArgumentParser`` built, subparsers too."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
 def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
-    added = _count_subparsers(monkeypatch)
+    """A named command builds one ``ArgumentParser``, its own, and no
+    subparser."""
+    added, built = _count_subparsers(monkeypatch), _count_parsers(monkeypatch)
     code, report, _ = run_cli(capsys, "analyze", "--game", "g1", "--group", "toy")
     assert code == 0 and report["ok"] is True
-    assert added == ["analyze"]
+    assert (built, added) == (["countercollusion analyze"], [])
 
 
 @pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command"]],

@@ -787,6 +787,22 @@ def test_a_crosscheck_derives_the_scenario_values_once(monkeypatch):
     assert (checked, mismatches, len(calls)) == (29, [], 1)
 
 
+@pytest.mark.parametrize("gid,cells,openings", [("g1", 9, 1), ("g2", 11, 3), ("g3", 27, 3),
+                                                ("g4", 29, 5)])
+def test_each_opening_settles_its_last_cell_in_place(monkeypatch, gid, cells, openings):
+    """A crosscheck opens each group of cells once and forks the opening
+    for every cell of the group but the last, which settles the opening."""
+    opened, forked = [], []
+    open_play, fork = protocol._open_play, protocol._Opening.fork
+    monkeypatch.setattr(protocol, "_open_play",
+                        lambda *args: opened.append(args) or open_play(*args))
+    monkeypatch.setattr(protocol._Opening, "fork",
+                        lambda opening: forked.append(opening) or fork(opening))
+    checked, mismatches = payoff_crosscheck(build_game(gid, BASE), setup("toy"))
+    assert (checked, mismatches) == (cells, [])
+    assert (len(opened), len(forked)) == (openings, cells - openings)
+
+
 def _cell_by_cell(game, gp, seed):
     """Each cell's outcome from ``run_scenario`` alone, with the mismatches
     ``payoff_crosscheck`` would report for them."""
