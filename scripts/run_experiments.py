@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from countercollusion.crypto import GroupParams, setup
 from countercollusion.gametheory import (
@@ -47,7 +46,6 @@ def equilibrium_table(gp: GroupParams) -> list[dict]:
                 "game": gid,
                 "rational": analysis.rationality.ok,
                 "consistent": analysis.consistency_ok,
-                "residual_1e7": str(analysis.residuals[10**7]),
                 "cells": cells,
                 "mismatches": len(mismatches),
                 "outcome": {k: str(v) for k, v in analysis.outcome.items()},
@@ -89,11 +87,10 @@ def main(argv=None) -> int:
 
     print(f"equilibrium checks + payoff crosscheck (group={args.group})")
     print(f"{'params':<14} {'game':<5} {'rational':<9} {'consistent':<11} "
-          f"{'residual@1e7':<13} {'cells':<6} {'mismatches'}")
+          f"{'cells':<6} {'mismatches'}")
     for row in table:
         print(f"{row['params']:<14} {row['game']:<5} {str(row['rational']):<9} "
-              f"{str(row['consistent']):<11} {row['residual_1e7']:<13} "
-              f"{row['cells']:<6} {row['mismatches']}")
+              f"{str(row['consistent']):<11} {row['cells']:<6} {row['mismatches']}")
 
     print()
     print("post-report deposit sweep (profile is fully rational only once t > z + d)")

@@ -328,10 +328,7 @@ def _serialize_rationality(report) -> dict:
 
 def cmd_analyze(args) -> int:
     params = _params_from_args(args)
-    if args.kmax < 10:
-        raise ConfigError("--kmax must be at least 10")
-    ks = tuple(k for k in (10, 100, 1000) if k < args.kmax) + (args.kmax,)
-    analysis = analyze_reference(args.game, params, ks=ks)
+    analysis = analyze_reference(args.game, params)
     if analysis.params_violations:
         crosscheck = {"skipped": "parameters are invalid", "cells": 0, "mismatches": []}
         crosscheck_ok = True
@@ -348,8 +345,10 @@ def cmd_analyze(args) -> int:
         "params_violations": list(analysis.params_violations),
         "rationality": _serialize_rationality(analysis.rationality),
         "consistency": {
-            "residuals": {str(k): str(residual) for k, residual in analysis.residuals.items()},
             "ok": analysis.consistency_ok,
+            "mismatches": [{"set_id": set_id, "node": node, "belief": str(belief),
+                            "limit": str(limit)}
+                           for set_id, node, belief, limit in analysis.mismatches],
         },
         "outcome": {label: str(pr) for label, pr in analysis.outcome.items()},
         "crosscheck": crosscheck,
@@ -492,8 +491,6 @@ def _analyze_flags(parser: argparse.ArgumentParser) -> None:
     _add_param_flags(parser)
     parser.add_argument("--seed", type=int, help="seed for the protocol crosscheck")
     _add_group_flag(parser)
-    parser.add_argument("--kmax", type=int, default=10**7,
-                        help="largest k in the consistency ladder")
 
 
 def _selftest_flags(parser: argparse.ArgumentParser) -> None:

@@ -5,12 +5,11 @@ outsourcing, ``g2`` with a bribery coalition, ``g3`` with betrayal reporting,
 ``g4`` with both), evaluates behavior-strategy assessments exactly, and
 machine-checks the two halves of sequential equilibrium.  Every value is an
 ``int`` where nothing divides: utilities, pure profiles and every value
-computed from them.  A ``Fraction`` comes only from a division: the 1/k
-ladder of ``consistency_sequence``, Bayes' rule in ``bayes_beliefs``, the
-residuals of ``check_consistency``, or a mixed profile a caller passes in;
-only those three functions import ``fractions``.  ``Game`` validates the
-*sibling rule*: the nodes of one information set share one parent.  The
-two halves:
+computed from them; a ``Fraction`` comes only from a mixed profile a caller
+passes in, so no function here imports ``fractions``.  ``Game`` validates
+the *sibling rule*: the nodes of one information set share one parent, and
+every action of that parent leads into a set of several nodes.  The two
+halves:
 
 * **sequential rationality** -- at every information set, the prescribed
   strategy maximizes the owner's expected payoff under the stated beliefs.
@@ -21,11 +20,10 @@ two halves:
   several actions are exactly payoff-equal).
 * **consistency** -- the assessment is the limit of fully-mixed strategy
   profiles with Bayes-derived beliefs.  Under the sibling rule a node's
-  posterior is the probability its parent's set puts on the action into it,
-  over the total of the actions into the set.  ``consistency_sequence``
-  constructs the canonical 1/k mixture, and ``check_consistency`` gives its
-  exact sup-distance from the assessment in closed form, without building
-  it; the residual is 2/k for all four reference equilibria.
+  posterior along any such sequence is the probability its parent's set
+  puts on the action into it, which tends to that probability under the
+  profile itself.  So the consistent belief is unique, on or off the path,
+  and ``check_consistency`` tests that equality exactly.
 
 ``payoff_crosscheck`` closes the loop with the executable protocol: every
 terminal of a game tree is replayed as a full contract scenario and the
@@ -53,14 +51,9 @@ __all__ = [
     "Assessment",
     "build_game",
     "reference_equilibrium",
-    "node_value",
-    "expected_payoff",
     "outcome_distribution",
     "play",
     "check_sequential_rationality",
-    "bayes_beliefs",
-    "consistency_sequence",
-    "assessment_distance",
     "check_consistency",
     "analyze_reference",
     "payoff_crosscheck",
@@ -179,9 +172,14 @@ class Game:
             histories = {self._own_history(nid, iset.player) for nid in iset.nodes}
             if len(histories) != 1:
                 raise GameError("bad-structure", f"{iset.set_id} violates perfect recall")
-            # the sibling rule, which Bayes' rule and the consistency check rely on
-            if len({self.parents.get(nid, (None,))[0] for nid in iset.nodes}) != 1:
+            # the sibling rule, which the consistency check relies on: one
+            # parent, each of whose actions leads into a set of several nodes
+            parents = {self.parents.get(nid, (None,))[0] for nid in iset.nodes}
+            if len(parents) != 1:
                 raise GameError("bad-structure", f"{iset.set_id} spans several parents")
+            if len(iset.nodes) > 1 and len(self.nodes[parents.pop()].children) != len(iset.nodes):
+                raise GameError("bad-structure",
+                                f"{iset.set_id} is entered by only some of its parent's actions")
         if covered != decision_nodes:
             raise GameError("bad-structure", f"info sets miss nodes {decision_nodes - covered}")
 
@@ -430,7 +428,7 @@ def reference_equilibrium(game: Game) -> Assessment:
     g4 -- the ringleader does not initiate; the follower would collude,
           report correctly, and deliver the agreed wrong result throughout.
 
-    Beliefs are the Bayes posteriors under the profile: the nodes of a
+    Beliefs are the consistent ones (``check_consistency``): the nodes of a
     multi-node info set are siblings, so each gets the probability its
     parent's info set puts on the action that leads to it.
     """
@@ -443,8 +441,7 @@ def reference_equilibrium(game: Game) -> Assessment:
 
     profile = {set_id: _pure(moves[depth(iset.nodes[0])], iset.actions)
                for set_id, iset in game.info_sets.items()}
-    beliefs = {set_id: _entering(game, iset, profile)[1] if len(iset.nodes) > 1
-               else {iset.nodes[0]: 1} for set_id, iset in game.info_sets.items()}
+    beliefs = {set_id: _entering(game, iset, profile) for set_id, iset in game.info_sets.items()}
     assessment = Assessment(profile=profile, beliefs=beliefs)
     validate_assessment(game, assessment)
     return assessment
@@ -455,20 +452,9 @@ def reference_equilibrium(game: Game) -> Assessment:
 # ---------------------------------------------------------------------------
 
 
-def node_value(game: Game, node_id: str, profile: Mapping, player: int) -> int | Fraction:
-    """Expected payoff for ``player`` when play starts at ``node_id`` and
-    everyone follows ``profile``."""
-    node = game.nodes[node_id]
-    if node.is_terminal:
-        return node.utilities[player - 1]
-    dist = profile[node.info_set]
-    return sum(pr * node_value(game, node.children[a], profile, player)
-               for a, pr in dist.items() if pr)
-
-
 def _node_values(game: Game, profile: Mapping) -> dict[str, tuple]:
-    """Both players' ``node_value`` at every node under ``profile``, in one
-    bottom-up pass over the tree."""
+    """Both players' expected payoffs from every node on when everyone
+    follows ``profile``, in one bottom-up pass over the tree."""
     values: dict[str, tuple] = {}
 
     def visit(nid: str) -> tuple:
@@ -484,13 +470,6 @@ def _node_values(game: Game, profile: Mapping) -> dict[str, tuple]:
 
     visit(game.root)
     return values
-
-
-def expected_payoff(game: Game, assessment: Assessment, set_id: str) -> int | Fraction:
-    """Belief-weighted expected payoff of the info set's owner."""
-    iset, beliefs = game.info_sets[set_id], assessment.beliefs[set_id]
-    return sum(beliefs.get(h, 0) * node_value(game, h, assessment.profile, iset.player)
-               for h in iset.nodes)
 
 
 def outcome_distribution(game: Game, profile: Mapping) -> dict[str, int | Fraction]:
@@ -670,119 +649,31 @@ def check_sequential_rationality(game: Game, assessment: Assessment) -> Rational
 # ---------------------------------------------------------------------------
 
 
-def _entering(game: Game, iset: InfoSet, weights: Mapping) -> tuple[Optional[str], dict]:
-    """The sibling rule: the nodes of a set share one parent (``Game``
-    validates it), so each node's posterior weight is the weight the
-    parent's set puts on the action into it.  Returns ``(parent, {node:
-    weight})``, or ``(None, {root: 1})`` at the root's set."""
-    first = iset.nodes[0]
-    if first not in game.parents:
-        return None, {first: 1}
-    parent = game.parents[first][0]
-    dist = weights[game.nodes[parent].info_set]
-    return parent, {h: dist.get(game.parents[h][1], 0) for h in iset.nodes}
+def _entering(game: Game, iset: InfoSet, weights: Mapping) -> dict:
+    """The sibling rule: the nodes of a set share one parent, and each
+    action of it leads into the set if the set has several nodes (``Game``
+    validates both).  So each node's posterior weight is the weight the
+    parent's set puts on the action into it; a lone node's is 1."""
+    if len(iset.nodes) == 1:
+        return {iset.nodes[0]: 1}
+    dist = weights[game.nodes[game.parents[iset.nodes[0]][0]].info_set]
+    return {h: dist.get(game.parents[h][1], 0) for h in iset.nodes}
 
 
-def bayes_beliefs(game: Game, profile: Mapping) -> dict[str, dict[str, Fraction]]:
-    """Beliefs by Bayes' rule.  Under the sibling rule a node's reach is its
-    parent's reach times the action into it, so its posterior is that
-    action's probability over the set's entering total.  A set whose parent
-    is unreachable, or whose entering probabilities sum to 0, raises
-    ``unreachable-info-set``."""
-    from fractions import Fraction
+def check_consistency(game: Game, assessment: Assessment) -> tuple[tuple, ...]:
+    """The beliefs at which the assessment is not consistent, as
+    ``(set_id, node, belief, limit)``; none means it is consistent.
 
-    reached = {game.root: True}
-
-    def reaches(nid: str) -> bool:
-        if nid not in reached:
-            parent, action = game.parents[nid]
-            reached[nid] = reaches(parent) and bool(
-                profile[game.nodes[parent].info_set].get(action, 0))
-        return reached[nid]
-
-    beliefs: dict[str, dict[str, Fraction]] = {}
-    for iset in game.info_sets.values():
-        parent, entering = _entering(game, iset, profile)
-        total = sum(entering.values())
-        if total == 0 or (parent is not None and not reaches(parent)):
-            raise GameError("unreachable-info-set", iset.set_id)
-        # Fraction, not ``/``: two int probabilities would divide to a float
-        beliefs[iset.set_id] = {h: Fraction(pr, total) for h, pr in entering.items()}
-    return beliefs
-
-
-def _rung_weights(game: Game, profile: Mapping, k: int) -> dict[str, dict[str, int]]:
-    """The integer weights of the ``k``-th fully-mixed approximation: at
-    every info set the prescribed action (the profile's first most likely
-    one) weighs ``k - (n - 1)`` and every other action 1, so each set's
-    weights sum to ``k``."""
-    widest = max((len(iset.actions) for iset in game.info_sets.values()), default=0)
-    if k < max(3, widest):
-        raise GameError("bad-k", f"need k >= {max(3, widest)}")
-    weights: dict[str, dict[str, int]] = {}
-    for iset in game.info_sets.values():
-        dist = profile[iset.set_id]
-        star = max(dist, key=dist.get)
-        kept = k - (len(iset.actions) - 1)
-        weights[iset.set_id] = {a: kept if a == star else 1 for a in iset.actions}
-    return weights
-
-
-def consistency_sequence(game: Game, assessment: Assessment, k: int) -> Assessment:
-    """The canonical fully-mixed approximation: at every info set the
-    prescribed action keeps probability 1 - (n-1)/k and every other action
-    gets 1/k; beliefs follow by exact Bayes' rule."""
-    from fractions import Fraction
-
-    profile = {set_id: {a: Fraction(w, k) for a, w in weights.items()}
-               for set_id, weights in _rung_weights(game, assessment.profile, k).items()}
-    return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
-
-
-def assessment_distance(game: Game, a: Assessment, b: Assessment) -> int | Fraction:
-    """Sup-norm distance across all strategy and belief entries."""
-    return max((abs(x[s].get(key, 0) - y[s].get(key, 0))
-                for s, iset in game.info_sets.items()
-                for x, y, keys in ((a.profile, b.profile, iset.actions),
-                                   (a.beliefs, b.beliefs, iset.nodes))
-                for key in keys), default=0)
-
-
-def check_consistency(
-    game: Game, assessment: Assessment, ks: tuple[int, ...] = (10, 100, 1000, 10**7)
-) -> dict[int, Fraction]:
-    """Residual sup-distance between the k-th fully-mixed approximation and
-    the assessment, per k.  For the reference equilibria this is exactly
-    2/k, witnessing consistency in the limit.
-
-    The value is ``assessment_distance(game, consistency_sequence(game,
-    assessment, k), assessment)`` in closed form, with no approximation
-    built.  With ``w`` the rung's weights, a profile entry ``pi`` lies
-    ``|w(a) - k*pi| / k`` away and a belief ``mu`` at a node entered by
-    ``a`` lies ``|w(a) / W - mu|`` away, ``W`` the weight of every action
-    into the set (1 at the root).  Entries are compared as integer ratios;
-    one ``Fraction`` per rung holds the largest.
-    """
-    from fractions import Fraction
-
-    profile, beliefs = assessment.profile, assessment.beliefs
-    residuals: dict[int, Fraction] = {}
-    for k in ks:
-        weights = _rung_weights(game, profile, k)
-        num, den = 0, 1  # the largest distance so far is num / den
-        for iset in game.info_sets.values():
-            dist, mus = profile[iset.set_id], beliefs[iset.set_id]
-            entering = _entering(game, iset, weights)[1]
-            total = sum(entering.values())
-            # (weight, total weight, the assessment's value) per entry
-            entries = [(w, k, dist.get(a, 0)) for a, w in weights[iset.set_id].items()]
-            entries += [(w, total, mus.get(h, 0)) for h, w in entering.items()]
-            for w, scale, x in entries:
-                n, d = abs(w * x.denominator - scale * x.numerator), scale * x.denominator
-                if n * den > num * d:
-                    num, den = n, d
-        residuals[k] = Fraction(num, den)
-    return residuals
+    Along any fully-mixed sequence of profiles that tends to the
+    assessment's, a node's Bayes posterior is the sequence's probability on
+    the action into it (``_entering``), so the posteriors tend to ``limit``,
+    that probability under the assessment's own profile.  The consistent
+    belief is therefore unique, and consistency is exact equality with it,
+    with no sequence built."""
+    return tuple((set_id, h, assessment.beliefs[set_id].get(h, 0), limit)
+                 for set_id, iset in game.info_sets.items()
+                 for h, limit in _entering(game, iset, assessment.profile).items()
+                 if assessment.beliefs[set_id].get(h, 0) != limit)
 
 
 # ---------------------------------------------------------------------------
@@ -794,13 +685,13 @@ class AnalysisReport(NamedTuple):
     game: Game
     params_violations: tuple[str, ...]
     rationality: RationalityReport
-    residuals: Mapping[int, int | Fraction]
+    mismatches: tuple[tuple, ...]  # ``check_consistency``'s entries
     outcome: Mapping[str, int | Fraction]
     notes: tuple[str, ...]
 
     @property
     def consistency_ok(self) -> bool:
-        return all(residual * k <= 2 for k, residual in self.residuals.items())
+        return not self.mismatches
 
     @property
     def equilibrium_ok(self) -> bool:
@@ -811,16 +702,13 @@ class AnalysisReport(NamedTuple):
         return not self.params_violations and self.equilibrium_ok
 
 
-def analyze_reference(
-    game_id: str, params: Params, ks: tuple[int, ...] = (10, 100, 1000, 10**7)
-) -> AnalysisReport:
+def analyze_reference(game_id: str, params: Params) -> AnalysisReport:
     """Build the game, its reference equilibrium, and run both equilibrium
     checks plus parameter validation.  The report holds the game, for
     ``payoff_crosscheck``."""
     game = build_game(game_id, params)
     assessment = reference_equilibrium(game)
     rationality = check_sequential_rationality(game, assessment)
-    residuals = check_consistency(game, assessment, ks)
     notes = []
     if game_id == "g4":
         bound = params.z + params.d
@@ -834,7 +722,7 @@ def analyze_reference(
         game=game,
         params_violations=tuple(validate_params(params)),
         rationality=rationality,
-        residuals=residuals,
+        mismatches=check_consistency(game, assessment),
         outcome=play(game, assessment.profile),
         notes=tuple(notes),
     )

@@ -8,8 +8,10 @@ the suite.
 Criteria:
   1. the four game trees' payoff tables are reproduced exactly by executing
      the contracts, across several distinct valid parameter sets;
-  2. the four reference equilibria pass all sequential-rationality checks
-     and the consistency residual ladder is exactly 2/k (<= 1e-6 at k=1e7);
+  2. the four reference equilibria pass all sequential-rationality checks,
+     their beliefs are exactly the consistent ones, and the 1/k ladder of
+     fully-mixed assessments closes in on them at exactly 2/k (<= 1e-6 at
+     k=1e7);
   3. equilibrium play reaches the stated honest terminal with probability 1;
   4. breaking each monetary boundary constraint is detected (CLI exits 4);
   5. the proof system is complete (toy group), sound against random
@@ -83,6 +85,7 @@ from countercollusion.protocol import (
     Task,
     run_scenario,
 )
+from oracles import ladder_residual
 
 BASE = Params(w=100, c=10, ch=201, d=212, t=309, b=5)
 PARAM_SETS = {
@@ -159,7 +162,9 @@ def test_criterion_2_reference_equilibria_verified():
             failures.append(f"{gid}: sequential rationality")
         if any(chk.full_deviation_max_gain != 0 for chk in rationality.checks):
             failures.append(f"{gid}: a full deviation gains")
-        residuals = check_consistency(game, assessment, ks=(10, 100, 1000, 10**7))
+        if check_consistency(game, assessment) != ():
+            failures.append(f"{gid}: beliefs are not the consistent ones")
+        residuals = {k: ladder_residual(game, assessment, k) for k in (10, 100, 1000, 10**7)}
         if any(res != Fraction(2, k) for k, res in residuals.items()):
             failures.append(f"{gid}: residual ladder is not exactly 2/k")
         if residuals[10**7] > Fraction(1, 10**6):

@@ -5,8 +5,9 @@ Frozen oracle values (hand-computed before the engine existed):
 * uniform play of the plain game is worth exactly -668/9 to each cloud;
 * equilibrium values: 90 = w - c (plain, reporting), 95/105 = w -+ b
   (coalition), 106 = z + b (coalition follower after reporting);
-* the canonical 1/k mixture sits at sup-distance exactly 2/k from each
-  reference assessment;
+* the canonical 1/k mixture (the test-side ladder in ``oracles``) sits at
+  sup-distance exactly 2/k from each reference assessment, which is exactly
+  consistent;
 * at the default deposits the coalition-with-reporting equilibrium has a
   one-shot gain of exactly +4 = z + d - t for the ringleader after a report,
   so the check must fail there and pass once t > z + d.
@@ -29,14 +30,9 @@ from countercollusion.gametheory import (
     InfoSet,
     Node,
     analyze_reference,
-    assessment_distance,
-    bayes_beliefs,
     build_game,
     check_consistency,
     check_sequential_rationality,
-    consistency_sequence,
-    expected_payoff,
-    node_value,
     outcome_distribution,
     payoff_crosscheck,
     play,
@@ -44,6 +40,14 @@ from countercollusion.gametheory import (
 )
 from countercollusion.gametheory import _cell_outcomes, _node_values, _scenario_grid
 from countercollusion.ledger import Params, validate_params
+from oracles import (
+    assessment_distance,
+    consistency_sequence,
+    expected_payoff,
+    ladder_residual,
+    node_value,
+    reach_beliefs,
+)
 
 W, C, CH, D, T, B = 100, 10, 201, 212, 309, 5
 Z = W - C + D - CH  # 101
@@ -166,7 +170,7 @@ def _uniform_assessment(game):
         s.set_id: {a: Fraction(1, len(s.actions)) for a in s.actions}
         for s in game.info_sets.values()
     }
-    return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
+    return Assessment(profile=profile, beliefs=reach_beliefs(game, profile))
 
 
 def _random_profile(game, data):
@@ -215,6 +219,8 @@ def test_random_profile_evaluation_identity(data):
 
 
 def test_bayes_beliefs_follow_strategy_weights():
+    """The Bayes posteriors at the follower's delivery set are the leader's
+    delivery weights, and the exact rule finds them consistent."""
     game = build_game("g2", BASE)
     profile = {
         "I1.1": {"no_init": Fraction(0), "init": Fraction(1)},
@@ -222,13 +228,16 @@ def test_bayes_beliefs_follow_strategy_weights():
         "I1.2": {"fx": Fraction(1, 2), "r": Fraction(1, 3), "other": Fraction(1, 6)},
         "I2.2": {"fx": Fraction(1, 3), "r": Fraction(1, 3), "other": Fraction(1, 3)},
     }
-    beliefs = bayes_beliefs(game, profile)
+    beliefs = reach_beliefs(game, profile)
     assert beliefs["I2.2"] == {
         "v3": Fraction(1, 2), "v4": Fraction(1, 3), "v5": Fraction(1, 6),
     }
+    assert check_consistency(game, Assessment(profile, beliefs)) == ()
 
 
 def test_unreachable_info_set_rejected_in_bayes():
+    """Bayes' rule says nothing at a set the profile never reaches; the
+    exact rule still gives its one consistent belief."""
     game = build_game("g2", BASE)
     profile = {
         "I1.1": {"no_init": Fraction(1), "init": Fraction(0)},
@@ -237,8 +246,14 @@ def test_unreachable_info_set_rejected_in_bayes():
         "I2.2": {"fx": Fraction(1), "r": Fraction(0), "other": Fraction(0)},
     }
     with pytest.raises(GameError) as err:
-        bayes_beliefs(game, profile)
+        reach_beliefs(game, profile)
     assert err.value.code == "unreachable-info-set"
+    beliefs = {set_id: {iset.nodes[0]: 1} for set_id, iset in game.info_sets.items()}
+    assert beliefs["I2.2"] == {"v3": 1}  # the node the leader's fx leads to
+    assert check_consistency(game, Assessment(profile, beliefs)) == ()
+    beliefs["I2.2"] = {"v4": 1}
+    assert check_consistency(game, Assessment(profile, beliefs)) == (
+        ("I2.2", "v3", 0, 1), ("I2.2", "v4", 1, 0))
 
 
 def test_assessment_validation():
@@ -397,7 +412,7 @@ def _valid_params(draw):
 def _mixed_assessment(game, data):
     profile = _random_profile(game, data)
     try:
-        return Assessment(profile=profile, beliefs=bayes_beliefs(game, profile))
+        return Assessment(profile=profile, beliefs=reach_beliefs(game, profile))
     except GameError:  # some info set is never reached
         assume(False)
 
@@ -500,26 +515,30 @@ def test_no_float_enters_the_engine(gid, params, data):
 
     profile = _pure_or_mixed_profile(game, data)
     try:
-        beliefs = bayes_beliefs(game, profile)
+        beliefs = reach_beliefs(game, profile)
     except GameError:  # some info set is never reached
         assume(False)
     assessment = Assessment(profile=profile, beliefs=beliefs)
-    values = [pr for dist in beliefs.values() for pr in dist.values()]
-    values += _rationality_values(check_sequential_rationality(game, assessment))
-    values += check_consistency(game, assessment, ks=(3, data.draw(st.integers(4, 10**7)))).values()
+    values = list(_rationality_values(check_sequential_rationality(game, assessment)))
+    # beliefs off by a third, so that every belief is listed with its limit
+    shifted = {s: {h: mu + Fraction(1, 3) for h, mu in dist.items()} for s, dist in beliefs.items()}
+    for _, _, mu, limit in check_consistency(game, Assessment(profile, shifted)):
+        values += [mu, limit]
+    values += [v for pair in _node_values(game, profile).values() for v in pair]
     values += play(game, profile).values()
-    values += [node_value(game, nid, profile, p) for nid in game.nodes for p in (1, 2)]
     assert {type(v) for v in values} <= {int, Fraction}
-    assert all(type(pr) is Fraction for dist in beliefs.values() for pr in dist.values())
 
 
 def test_bayes_beliefs_of_a_pure_profile_are_fractions():
     """Under a pure profile every reach is an int; ``/`` between two ints
-    would give a float that compares equal to the right posterior."""
+    would give a float that compares equal to the right posterior.  The
+    engine's beliefs divide nothing: they are the profile's own ints."""
     game = build_game("g1", BASE)
-    beliefs = bayes_beliefs(game, reference_equilibrium(game).profile)
-    assert beliefs == {"I1": {"v0": 1}, "I2": {"v1": 1, "v2": 0, "v3": 0}}
+    reference = reference_equilibrium(game)
+    beliefs = reach_beliefs(game, reference.profile)
+    assert beliefs == reference.beliefs == {"I1": {"v0": 1}, "I2": {"v1": 1, "v2": 0, "v3": 0}}
     assert {type(pr) for dist in beliefs.values() for pr in dist.values()} == {Fraction}
+    assert {type(pr) for dist in reference.beliefs.values() for pr in dist.values()} == {int}
 
 
 def test_full_deviation_plans_across_later_info_sets():
@@ -569,7 +588,7 @@ def test_full_deviation_plans_across_later_info_sets():
 
 def test_deposit_at_cost_plus_fee_breaks_plain_dominance():
     params = Params(w=W, c=C, ch=CH, d=C + CH, t=T, b=B)
-    analysis = analyze_reference("g1", params, ks=(10,))
+    analysis = analyze_reference("g1", params)
     assert analysis.params_violations == ("d > c + ch",)
     assert not analysis.rationality.nodes_ok
     i2 = next(ch for ch in analysis.rationality.checks if ch.set_id == "I2")
@@ -579,7 +598,7 @@ def test_deposit_at_cost_plus_fee_breaks_plain_dominance():
 
 def test_coalition_deposit_at_bound_breaks_conformance_dominance():
     params = Params(w=W, c=C, ch=CH, d=D, t=Z + D - B, b=B)
-    analysis = analyze_reference("g2", params, ks=(10,))
+    analysis = analyze_reference("g2", params)
     assert analysis.params_violations == ("t > z + d - b",)
     assert not analysis.rationality.nodes_ok
     i22 = next(ch for ch in analysis.rationality.checks if ch.set_id == "I2.2")
@@ -589,7 +608,7 @@ def test_coalition_deposit_at_bound_breaks_conformance_dominance():
 
 def test_bribe_at_cost_breaks_initiation_incentive():
     params = Params(w=W, c=C, ch=CH, d=D, t=T, b=C)
-    analysis = analyze_reference("g2", params, ks=(10,))
+    analysis = analyze_reference("g2", params)
     assert analysis.params_violations == ("b < c",)
     i11 = next(ch for ch in analysis.rationality.checks if ch.set_id == "I1.1")
     assert not i11.strict_ok  # initiating no longer strictly beats honesty
@@ -598,15 +617,15 @@ def test_bribe_at_cost_breaks_initiation_incentive():
 
 def test_valid_params_analyses_are_clean():
     for gid in ("g1", "g2", "g3"):
-        analysis = analyze_reference(gid, BASE, ks=(10, 100))
+        analysis = analyze_reference(gid, BASE)
         assert analysis.ok, gid
-    analysis = analyze_reference("g4", STRONG, ks=(10, 100))
+    analysis = analyze_reference("g4", STRONG)
     assert analysis.ok
     assert "satisfied" in analysis.notes[0]
 
 
 def test_reporting_coalition_analysis_flags_deposit_condition_at_default():
-    analysis = analyze_reference("g4", BASE, ks=(10,))
+    analysis = analyze_reference("g4", BASE)
     assert analysis.params_violations == ()
     assert not analysis.equilibrium_ok
     assert any("g4-followup-deposit" in note and "NOT satisfied" in note
@@ -622,50 +641,68 @@ def test_consistency_residual_is_exactly_two_over_k():
     for gid in GAMES:
         game = build_game(gid, BASE)
         assessment = reference_equilibrium(game)
-        residuals = check_consistency(game, assessment, ks=(3, 10, 100, 1000, 10**7))
-        for k, residual in residuals.items():
-            assert residual == Fraction(2, k), (gid, k)
-        assert residuals[10**7] <= Fraction(1, 10**6)
+        assert check_consistency(game, assessment) == (), gid
+        for k in (3, 10, 100, 1000, 10**7):
+            assert ladder_residual(game, assessment, k) == Fraction(2, k), (gid, k)
+        assert ladder_residual(game, assessment, 10**7) <= Fraction(1, 10**6)
 
 
 def test_consistency_sequence_is_fully_mixed_with_bayes_beliefs():
+    """The ladder the exact rule stands in for is a valid witness: every
+    rung is fully mixed, its beliefs are Bayes' rule, and it closes in on
+    a mixed assessment as well as on a pure one."""
     game = build_game("g4", BASE)
-    assessment = reference_equilibrium(game)
-    approx = consistency_sequence(game, assessment, k=1000)
-    for iset in game.info_sets.values():
-        dist = approx.profile[iset.set_id]
-        assert sum(dist.values()) == 1
-        assert all(pr > 0 for pr in dist.values())
-    assert approx.beliefs == bayes_beliefs(game, approx.profile)
-    assert assessment_distance(game, approx, assessment) == Fraction(2, 1000)
+    reference = reference_equilibrium(game)
+    mixed = {**reference.profile, "I1.2": {"fx": Fraction(1, 2), "r": Fraction(1, 2)}}
+    for profile in (reference.profile, mixed):
+        approx = consistency_sequence(game, Assessment(profile, reference.beliefs), k=1000)
+        for iset in game.info_sets.values():
+            dist = approx.profile[iset.set_id]
+            assert sum(dist.values()) == 1
+            assert all(0 < pr <= profile[iset.set_id].get(a, 0) + Fraction(1, 1000)
+                       for a, pr in dist.items())
+        assert approx.beliefs == reach_beliefs(game, approx.profile)
+    assert assessment_distance(game, consistency_sequence(game, reference, 1000),
+                               reference) == Fraction(2, 1000)
 
 
 def test_consistency_sequence_needs_k_at_least_three():
     game = build_game("g1", BASE)
-    with pytest.raises(GameError) as err:
+    with pytest.raises(ValueError, match="need k >= 3"):
         consistency_sequence(game, reference_equilibrium(game), k=2)
-    assert err.value.code == "bad-k"
 
 
-def _reach_beliefs(game, profile):
-    """Bayes' rule by reach products, with no use of the sibling rule: each
-    node's posterior is its reach over its set's total reach."""
-    reach = {game.root: 1}
+def test_a_mixed_profile_with_its_bayes_beliefs_is_consistent():
+    """The leader of g2 mixes its delivery half and half; the follower's
+    beliefs are the exact Bayes posteriors, so the assessment is
+    consistent, although no rung of a ladder that favours one action of
+    the pair comes closer to it than about 1/2."""
+    game = build_game("g2", BASE)
+    reference = reference_equilibrium(game)
+    half = Fraction(1, 2)
+    profile = {**reference.profile, "I1.2": {"fx": half, "r": half, "other": 0}}
+    beliefs = {**reference.beliefs, "I2.2": {"v3": half, "v4": half, "v5": 0}}
+    assessment = Assessment(profile, beliefs)
+    assert beliefs == reach_beliefs(game, profile)
+    assert check_consistency(game, assessment) == ()
+    assert ladder_residual(game, assessment, 10**7) == Fraction(2, 10**7)
 
-    def reach_of(nid):
-        if nid not in reach:
-            parent, action = game.parents[nid]
-            dist = profile[game.nodes[parent].info_set]
-            reach[nid] = reach_of(parent) * dist.get(action, 0)
-        return reach[nid]
 
-    beliefs = {}
-    for iset in game.info_sets.values():
-        total = sum(reach_of(h) for h in iset.nodes)
-        if total == 0:
-            raise GameError("unreachable-info-set", iset.set_id)
-        beliefs[iset.set_id] = {h: Fraction(reach[h], total) for h in iset.nodes}
-    return beliefs
+def test_an_off_path_belief_off_its_limit_is_reported_at_its_node():
+    """g4's reference never forms the coalition, so the follower's delivery
+    set ``I2.3`` is off the path; moving its weight from ``v7`` to ``v8``
+    makes exactly those two beliefs inconsistent."""
+    game = build_game("g4", STRONG)
+    reference = reference_equilibrium(game)
+    assert reference.beliefs["I2.3"] == {"v6": 0, "v7": 1, "v8": 0}
+    assert outcome_distribution(game, reference.profile).keys().isdisjoint({"v6", "v7", "v8"})
+    moved = Assessment(reference.profile,
+                       {**reference.beliefs, "I2.3": {"v6": 0, "v7": 0, "v8": 1}})
+    assert check_consistency(game, moved) == (("I2.3", "v7", 0, 1), ("I2.3", "v8", 1, 0))
+    analysis = analyze_reference("g4", STRONG)
+    assert analysis.mismatches == () and analysis.consistency_ok and analysis.ok
+    inconsistent = analysis._replace(mismatches=check_consistency(game, moved))
+    assert not inconsistent.consistency_ok and not inconsistent.ok
 
 
 def _any_beliefs(game, data):
@@ -682,40 +719,57 @@ def _any_beliefs(game, data):
     return beliefs
 
 
-@pytest.mark.parametrize("gid", GAMES)
-@settings(max_examples=40, deadline=None)
-@given(params=_valid_params(), data=st.data())
-def test_closed_form_residuals_equal_the_constructed_distance(gid, params, data):
-    """``check_consistency`` builds no approximation; its residual at each
-    rung must be the distance to the one ``consistency_sequence`` builds,
-    in value and in type, for any profile and any non-negative beliefs."""
-    game = build_game(gid, params)
-    profile = data.draw(st.sampled_from([reference_equilibrium(game).profile,
-                                         _pure_or_mixed_profile(game, data)]))
-    assessment = Assessment(profile=profile, beliefs=_any_beliefs(game, data))
-    ks = (3, data.draw(st.integers(3, 10**7), label="k"))
-    residuals = check_consistency(game, assessment, ks)
-    for k in ks:
-        expected = assessment_distance(game, consistency_sequence(game, assessment, k), assessment)
-        assert residuals[k] == expected and type(residuals[k]) is type(expected), k
+def _limits(game, profile):
+    """The exact rule's belief at every node under ``profile``, read off
+    the mismatches of an assessment that believes nothing (a node left out
+    has limit 0)."""
+    limits = {set_id: {} for set_id in game.info_sets}
+    for set_id, h, _, limit in check_consistency(game, Assessment(profile, limits)):
+        limits[set_id][h] = limit
+    return limits
 
 
 @pytest.mark.parametrize("gid", GAMES)
 @settings(max_examples=40, deadline=None)
 @given(params=_valid_params(), data=st.data())
 def test_sibling_rule_beliefs_equal_reach_products(gid, params, data):
+    """Where the profile reaches every set, Bayes' rule by reach products
+    gives the exact rule's limits: the sibling rule reads the same
+    posteriors off the parent's set alone."""
     game = build_game(gid, params)
     profile = _pure_or_mixed_profile(game, data)
     try:
-        expected = _reach_beliefs(game, profile)
+        beliefs = reach_beliefs(game, profile)
     except GameError as err:
-        with pytest.raises(GameError) as ours:
-            bayes_beliefs(game, profile)
-        assert ours.value.code == err.code == "unreachable-info-set"
+        assert err.code == "unreachable-info-set"
         return
-    beliefs = bayes_beliefs(game, profile)
-    assert beliefs == expected
-    assert {type(pr) for dist in beliefs.values() for pr in dist.values()} == {Fraction}
+    assert check_consistency(game, Assessment(profile, beliefs)) == ()
+    assert _limits(game, profile) == {s: {h: mu for h, mu in dist.items() if mu}
+                                      for s, dist in beliefs.items()}
+
+
+@pytest.mark.parametrize("gid", GAMES)
+@settings(max_examples=40, deadline=None)
+@given(params=_valid_params(), data=st.data())
+def test_exact_rule_agrees_with_the_ladder(gid, params, data):
+    """Where the exact rule finds an assessment consistent, the ladder's
+    ``k``-th rung lies within 2/k of it; where it reports mismatches, the
+    rung stays at least the largest mismatch, less 2/k, away.  Every set
+    here has at most three actions, so a rung moves each profile entry by
+    at most 2/k."""
+    game = build_game(gid, params)
+    profile = data.draw(st.sampled_from([reference_equilibrium(game).profile,
+                                         _pure_or_mixed_profile(game, data)]))
+    beliefs = data.draw(st.sampled_from([_limits(game, profile), _any_beliefs(game, data)]))
+    assessment = Assessment(profile=profile, beliefs=beliefs)
+    k = data.draw(st.integers(3, 10**7), label="k")
+    residual = ladder_residual(game, assessment, k)
+    mismatches = check_consistency(game, assessment)
+    if not mismatches:
+        assert residual <= Fraction(2, k)
+    else:
+        worst = max(abs(mu - limit) for _, _, mu, limit in mismatches)
+        assert residual >= worst - Fraction(2, k)
 
 
 def test_info_set_spanning_two_parents_rejected():
@@ -749,6 +803,33 @@ def test_info_set_spanning_two_parents_rejected():
           "K": InfoSet("K", 1, ("v4",), ("c", "d"))})
 
 
+def test_info_set_entered_by_only_some_parent_actions_rejected():
+    """Player 1's third action ends the game, so only two of its actions
+    enter player 2's set: a node's posterior would then be its action's
+    share of the two, which has no limit where both go unplayed.  With the
+    third action leading into the set as well, the game is valid."""
+    def leaf(nid):
+        return Node(nid, utilities=(0, 0), label=f"X:{nid}")
+
+    nodes = {
+        "v0": Node("v0", player=1, info_set="I1", children={"a": "v1", "b": "v2", "c": "t0"}),
+        "v1": Node("v1", player=2, info_set="J", children={"x": "t1", "y": "t2"}),
+        "v2": Node("v2", player=2, info_set="J", children={"x": "t3", "y": "t4"}),
+        **{f"t{i}": leaf(f"t{i}") for i in range(5)},
+    }
+    info_sets = {"I1": InfoSet("I1", 1, ("v0",), ("a", "b", "c")),
+                 "J": InfoSet("J", 2, ("v1", "v2"), ("x", "y"))}
+    with pytest.raises(GameError) as err:
+        Game("partial", BASE, nodes, info_sets)
+    assert err.value.code == "bad-structure"
+    assert "J is entered by only some of its parent's actions" in str(err.value)
+    nodes["v0"] = nodes["v0"]._replace(children={"a": "v1", "b": "v2", "c": "v3"})
+    nodes["v3"] = Node("v3", player=2, info_set="J", children={"x": "t0", "y": "t5"})
+    nodes["t5"] = leaf("t5")
+    Game("partial", BASE, nodes, {**info_sets, "J": InfoSet("J", 2, ("v1", "v2", "v3"),
+                                                             ("x", "y"))})
+
+
 def test_a_ladder_rung_must_be_fully_mixed():
     """The prescribed action weighs k - (n - 1), so a set of n actions needs
     k >= n; the tree games have n <= 3."""
@@ -760,10 +841,10 @@ def test_a_ladder_rung_must_be_fully_mixed():
     game = Game("wide", BASE, nodes, {"I1": InfoSet("I1", 1, ("v0",), tuple("abcd"))})
     assessment = Assessment(profile={"I1": {"a": 1, "b": 0, "c": 0, "d": 0}},
                             beliefs={"I1": {"v0": 1}})
-    with pytest.raises(GameError) as err:
-        check_consistency(game, assessment, ks=(3,))
-    assert (err.value.code, str(err.value)) == ("bad-k", "need k >= 4")
-    assert check_consistency(game, assessment, ks=(4,)) == {4: Fraction(3, 4)}
+    with pytest.raises(ValueError, match="need k >= 4"):
+        consistency_sequence(game, assessment, 3)
+    assert ladder_residual(game, assessment, 4) == Fraction(3, 4)
+    assert check_consistency(game, assessment) == ()
 
 
 # ---------------------------------------------------------------------------

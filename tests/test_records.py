@@ -2,9 +2,9 @@
 
 Records are ``typing.NamedTuple`` classes: immutable, equal by value and,
 when every field is hashable, usable as dict keys.  Contracts are mutable
-and equal only to themselves.  A fresh interpreter that imports the CLI and
-sets up a group loads neither ``dataclasses`` nor ``inspect``, nor ``ast``,
-``fractions`` or ``decimal``.
+and equal only to themselves.  A fresh interpreter that imports the CLI,
+sets up a group and analyzes a game loads neither ``dataclasses`` nor
+``inspect``, nor ``ast``, ``fractions`` or ``decimal``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ SAMPLES = {
     InfoSetCheck: lambda: InfoSetCheck("I1", 1, Fraction(0), {"r": Fraction(-1)},
                                        Fraction(0), True, True, True, ()),
     RationalityReport: _rationality,
-    AnalysisReport: lambda: AnalysisReport(_G1, (), _rationality(), {10: Fraction(0)},
+    AnalysisReport: lambda: AnalysisReport(_G1, (), _rationality(), (("I2", "v1", 0, 1),),
                                            {"G1:v1": Fraction(1)}, ()),
     CloudStrategy: lambda: CloudStrategy(Role.INITIATE, ReportChoice.NO_REPORT, CtpAction.R),
     Task: lambda: Task("arithmetic-expression", "3", 2, "x*x"),
@@ -182,26 +182,29 @@ def test_each_prisoners_contract_has_its_own_workers_and_deliveries():
     assert a.delivered is not b.delivered
 
 
-def _loaded_at_cold_start(modules):
+def _loaded_at_cold_start(modules, tmp_path):
     """Which of ``modules`` a fresh interpreter has loaded once it imported
-    the CLI and set up secp256k1."""
+    the CLI, set up secp256k1 and analyzed g4 on toy through ``cli.main``."""
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import countercollusion.cli\n"
             "from countercollusion import crypto\n"
             "crypto.setup('secp256k1')\n"
+            "countercollusion.cli.main(['analyze', '--game', 'g4', '--t', '314',\n"
+            "                           '--out', sys.argv[2]])\n"
             f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
     # -S: no site hooks, so only the package and the stdlib it imports count
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)], check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), str(tmp_path / "g4.json")],
+                         check=True, capture_output=True, text=True).stdout
     return out.strip()
 
 
-def test_cold_import_loads_no_code_generation():
-    assert _loaded_at_cold_start({"dataclasses", "inspect"}) == "[]"
+def test_cold_import_loads_no_code_generation(tmp_path):
+    assert _loaded_at_cold_start({"dataclasses", "inspect"}, tmp_path) == "[]"
 
 
-def test_cold_import_loads_neither_ast_nor_fractions():
-    """Only arithmetic tasks parse (``ast``) and only the consistency check
-    and Bayes' rule divide (``fractions``, which loads ``decimal``)."""
-    assert _loaded_at_cold_start({"ast", "fractions", "decimal"}) == "[]"
+def test_cold_import_loads_neither_ast_nor_fractions(tmp_path):
+    """Only arithmetic tasks parse (``ast``), and nothing a command runs
+    divides: a pure profile's values and beliefs, the consistency check
+    included, stay in ints (``fractions`` would load ``decimal``)."""
+    assert _loaded_at_cold_start({"ast", "fractions", "decimal"}, tmp_path) == "[]"
