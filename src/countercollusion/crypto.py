@@ -17,17 +17,20 @@ constants and lattice basis are the standard secp256k1 ones, see
 Hankerson-Menezes-Vanstone, Guide to ECC, section 3.5): each scalar splits
 into two halves of at most 128 bits, so the shared chain is about 128
 doublings instead of 256, with no extra point additions.  Each base adds
-from a row of true-affine odd multiples and its ``(beta*x, y)`` image.  For
-the generators ``P`` and ``Q`` those rows are built once, by ``setup``, at
-width 6 (16 multiples each; Guide to ECC, section 3.3) and kept in
-``GroupParams.tables``; ``GroupParams.mul`` passes them in.  Every other
-base (in the protocol only ``C1 - C2``) gets width-5 rows (8 multiples) per
-call, made affine with one Montgomery batch inversion, so a call inverts at
-most twice.  One flat loop adds the row points of the nonzero NAF digits
-only, with the point formulas inline over local ints.  Calls per operation
-are the same on both groups: ``commit`` 1, ``prove_eq`` and ``prove_neq`` 3
-each (two of them re-open the commitments), ``verify_eq`` and
-``verify_neq`` 1 each.
+from a row of true-affine odd multiples and their negations, and its
+``(beta*x, y)`` image.  For the generators ``P`` and ``Q`` those rows are
+built once, by ``setup``, at width 7 (32 multiples each; Guide to ECC,
+section 3.3) and kept in ``GroupParams.tables``; ``GroupParams.mul`` passes
+them in.  Every other base (in the protocol only ``D = C1 - C2``, which
+stays in Jacobian coordinates) gets width-5 rows (8 multiples) per call,
+made affine with one Montgomery batch inversion; the result's ``Z`` is the
+call's only other field inversion.  A term of scalar 1 or -1 is added once,
+with no rows: a verifier adds ``-t`` that way and checks for the identity,
+which is never made affine, so an accepted proof costs one inversion.  One flat
+loop adds the row points of the nonzero NAF digits only, with the point
+formulas inline over local ints.  Calls per operation are the same on both
+groups: ``commit`` 1, ``prove_eq`` and ``prove_neq`` 3 each (two of them
+re-open the commitments), ``verify_eq`` and ``verify_neq`` 1 each.
 
 Commitments are ``Com_s(m) = m*P + s*Q`` where ``P`` and ``Q`` are both
 derived by hash-to-group from a public seed (nobody knows a discrete log
@@ -121,6 +124,9 @@ class _ToyGroup:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
+    #: ``a - b`` as a ``mul`` base: on toy, ``sub``.
+    diff = sub
+
     def mul(self, k: int, a: int, *more: int) -> int:
         """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``."""
         if len(more) % 2:
@@ -167,10 +173,11 @@ class _ToyGroup:
 #: 8 odd multiples per base.
 _WNAF_WIDTH = 5
 
-#: NAF width of the generator tables ``setup`` builds: 16 odd multiples per
-#: row, digits odd in ``[-31, 31]``.  Width 7 measured faster per call but
-#: doubled the build, which every ``setup`` pays.
-_FIXED_WIDTH = 6
+#: NAF width of the generator tables ``setup`` builds: 32 odd multiples per
+#: row, digits odd in ``[-63, 63]``.  The build costs about twice width 6's;
+#: the Jacobi pre-test of ``hash_to_group``, which spares the square root of
+#: every non-residue candidate, pays for it within ``setup``.
+_FIXED_WIDTH = 7
 
 #: Bit positions of ``mul``'s schedule: NAFs of GLV halves (< 2^128) end by 128.
 _SCHEDULE_LEN = 129
@@ -265,16 +272,25 @@ class _Secp256k1Group:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def diff(self, a, b):
+        """``a - b`` as a ``mul`` base: Jacobian ``(X, Y, Z)``, or ``None``
+        for the identity.  ``mul`` makes it affine in the batch inversion
+        of its rows, so the difference costs no inversion of its own."""
+        return self._jadd(self._to_jac(a), self._to_jac(self.neg(b)))
+
     def _odd_multiples(self, bases, w):
-        """``(w, row, lambda_row)`` per affine base ``a``: ``row`` holds the
-        odd multiples ``a, 3a, ..., (2^(w-1) - 1)*a`` and ``lambda_row`` their
-        images ``(beta*x, y)`` under the endomorphism, all true affine.  The
-        rows are built in Jacobian coordinates and brought to affine with one
-        Montgomery batch inversion for all bases together."""
+        """``(w, row, lambda_row)`` per base ``a``, affine ``(x, y)`` or
+        Jacobian ``(X, Y, Z)``: ``row`` holds the odd multiples
+        ``a, 3a, ..., (2^(w-1) - 1)*a`` followed by their negations in
+        reverse order, so that a NAF digit ``d`` of either sign reads
+        ``d*a`` as ``row[d >> 1]``; ``lambda_row`` holds their images
+        ``(beta*x, y)`` under the endomorphism in the same order, all true
+        affine.  The rows are built in Jacobian coordinates and brought to
+        affine with one Montgomery batch inversion for all bases together."""
         p, n = self.p, 1 << (w - 2)
         jac = []
         for a in bases:
-            pt = self._to_jac(a)
+            pt = a if len(a) == 3 else self._to_jac(a)
             twice = self._jdouble(pt)
             jac.append(pt)
             for _ in range(n - 1):
@@ -292,8 +308,13 @@ class _Secp256k1Group:
             inv = inv * z % p
             z2 = zinv * zinv % p
             affine[i] = (x * z2 % p, y * z2 * zinv % p)
+
+        def signed(row):
+            return row + [(x, p - y) for x, y in reversed(row)]
+
         rows = [affine[j:j + n] for j in range(0, len(affine), n)]
-        return [(w, row, [(_GLV_BETA * x % p, y) for x, y in row]) for row in rows]
+        return [(w, signed(row), signed([(_GLV_BETA * x % p, y) for x, y in row]))
+                for row in rows]
 
     def fixed_base_tables(self, *bases) -> dict:
         """Width-``_FIXED_WIDTH`` rows of each base, keyed by the base, for
@@ -309,38 +330,45 @@ class _Secp256k1Group:
         at most 128 bits (``_glv_split``), and ``lambda*(x, y)`` is
         ``(beta*x, y)``, so a base contributes two width-``w`` NAF digit
         streams: ``k1`` over its row of odd multiples and ``k2`` over the
-        same row with every ``x`` times ``beta``.  A negative half has
-        negative digits, which negate ``y``.
+        same row with every ``x`` times ``beta``.  A row holds both signs,
+        so a digit of either sign reads its point with no branch.
 
-        A base found in ``tables`` (``GroupParams.tables``: the generators
-        ``P`` and ``Q``, built once by ``setup``) reads both rows from there,
-        at width ``_FIXED_WIDTH``.  Every other base gets width-5 rows
-        ``a, 3a, ..., 15a`` built for this call and made affine with one
-        Montgomery batch inversion (``_odd_multiples``).  The schedule lists,
-        per bit position, the row points of the nonzero digits
-        (``_naf_digits``); the loop walks it from the top over a Jacobian
-        ``X, Y, Z`` in local ints (``Z == 0``: the identity), with the
-        doubling and the mixed Jacobian+affine addition written inline.  The
-        result's ``Z`` is the call's only other field inversion.
+        A base is affine ``(x, y)`` or Jacobian ``(X, Y, Z)`` (``diff``).
+        A term whose scalar is 1 or -1 on an affine base adds the base or
+        its negation once, at bit position 0, with no rows.  A base found in
+        ``tables`` (``GroupParams.tables``: the generators ``P`` and ``Q``,
+        built once by ``setup``) reads both rows from there, at width
+        ``_FIXED_WIDTH``.  Every other base gets width-5 rows
+        ``a, 3a, ..., 15a`` and their negations, built for this call and
+        made affine with one Montgomery batch inversion
+        (``_odd_multiples``).  The schedule lists, per bit position, the row
+        points of the nonzero digits (``_naf_digits``); the loop walks it
+        from the top over a Jacobian ``X, Y, Z`` in local ints (``Z == 0``:
+        the identity), with the doubling and the mixed Jacobian+affine
+        addition written inline.  The result's ``Z`` is the call's only
+        other field inversion, and a sum that is the identity needs none.
         """
-        p = self.p
-        terms = [(k % self.q, a) for k, a in _terms(k, a, more)]
-        terms = [(k, a) for k, a in terms if k and a is not None]
-        if not terms:
-            return None
-        fresh = [a for _, a in terms if a not in tables]
-        rows = dict(zip(fresh, self._odd_multiples(fresh, _WNAF_WIDTH))) | tables
+        p, q = self.p, self.q
+        terms = [(k % q, a) for k, a in _terms(k, a, more)]
         # the affine points to add at each bit position, least significant first
         steps = [[] for _ in range(_SCHEDULE_LEN)]
+        multiples = []
         for k, a in terms:
+            if not k or a is None:
+                continue
+            if len(a) == 2 and (k == 1 or k == q - 1):
+                steps[0].append(a if k == 1 else (a[0], p - a[1]))
+            else:
+                multiples.append((k, a))
+        fresh = [a for _, a in multiples if a not in tables]
+        rows = tables
+        if fresh:
+            rows = dict(zip(fresh, self._odd_multiples(fresh, _WNAF_WIDTH))) | tables
+        for k, a in multiples:
             w, row, lambda_row = rows[a]
             for half, r in zip(_glv_split(k), (row, lambda_row)):
                 for i, d in _naf_digits(half, w):
-                    if d > 0:
-                        steps[i].append(r[d >> 1])
-                    else:
-                        x, y = r[-d >> 1]
-                        steps[i].append((x, p - y))
+                    steps[i].append(r[d >> 1])
         X = Y = Z = 0
         for pts in reversed(steps):
             if Z:
@@ -411,10 +439,33 @@ class _Secp256k1Group:
             ).digest()
             x = int.from_bytes(h, "big") % p
             y2 = (x * x * x + 7) % p
-            y = pow(y2, (p + 1) // 4, p)  # p = 3 mod 4
-            if (y * y) % p == y2 and x != 0:
+            # a non-residue has no square root: the Jacobi symbol, about a
+            # quarter of the root's cost, rules it out first
+            if x != 0 and _jacobi(y2, p) != -1:
+                y = pow(y2, (p + 1) // 4, p)  # p = 3 mod 4
                 return (x, y if y % 2 == 0 else p - y)
             counter += 1
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` for odd ``n > 0``: 1, -1 or 0.  For a
+    prime ``n`` it is Euler's criterion ``a^((n-1)/2) mod n``, taken by the
+    binary algorithm (Cohen, A Course in Computational Algebraic Number
+    Theory, Algorithm 1.4.10): strip the factors of 2 from ``a`` (an odd
+    number of them negates the symbol when ``n = 3, 5 (mod 8)``), swap
+    ``a`` and ``n`` by quadratic reciprocity (negating when both are
+    3 mod 4) and reduce."""
+    a %= n
+    t = 1
+    while a:
+        zeros = (a & -a).bit_length() - 1
+        a >>= zeros
+        if zeros & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 3 == 3:
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
 
 
 def _terms(k, a, more) -> list:
@@ -599,8 +650,9 @@ def _challenge(gp: GroupParams, tag: bytes, *elems) -> Scalar:
 def _statement(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment) -> tuple:
     """The bases ``B_i`` and target of the representation a proof under
     ``tag`` shows, with ``D = C1 - C2``: equality ``D = w*Q``, inequality
-    ``P = a*D + b*Q``."""
-    d = gp.backend.sub(c1.value, c2.value)
+    ``P = a*D + b*Q``.  ``D`` is a ``mul`` base, not made affine
+    (``diff``)."""
+    d = gp.backend.diff(c1.value, c2.value)
     if tag == EQ_TAG:
         return (gp.Q,), d
     return (d, gp.Q), gp.P
@@ -619,7 +671,10 @@ def _prove(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, witness,
 
 
 def _verify(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, t, etas) -> bool:
-    """Check ``sum(eta_i*B_i) - delta*target == t`` in one ``mul`` call."""
+    """Check ``sum(eta_i*B_i) - delta*target - t`` is the identity in one
+    ``mul`` call.  ``t`` enters as a term of scalar -1, which the secp256k1
+    ``mul`` adds without rows, and the identity sum of an accepted proof is
+    never made affine."""
     g = gp.backend
     if not (g.is_member(c1.value) and g.is_member(c2.value) and g.is_member(t)):
         return False
@@ -628,7 +683,7 @@ def _verify(gp: GroupParams, tag: bytes, c1: Commitment, c2: Commitment, t, etas
             return False
     bases, target = _statement(gp, tag, c1, c2)
     delta = _challenge(gp, tag, c1.value, c2.value, t)
-    return gp.mul(*[x for term in zip(etas, bases) for x in term], -delta, target) == t
+    return gp.mul(*[x for term in zip(etas, bases) for x in term], -delta, target, -1, t) == g.identity
 
 
 def prove_eq(

@@ -669,7 +669,13 @@ def check_consistency(game: Game, assessment: Assessment) -> tuple[tuple, ...]:
     the action into it (``_entering``), so the posteriors tend to ``limit``,
     that probability under the assessment's own profile.  The consistent
     belief is therefore unique, and consistency is exact equality with it,
-    with no sequence built."""
+    with no sequence built.
+
+    Raises ``GameError("bad-assessment")`` when the profile or the belief
+    map lacks an info set; their values are compared, not validated."""
+    for set_id in game.info_sets:
+        if set_id not in assessment.profile or set_id not in assessment.beliefs:
+            raise GameError("bad-assessment", f"no profile or beliefs at {set_id}")
     return tuple((set_id, h, assessment.beliefs[set_id].get(h, 0), limit)
                  for set_id, iset in game.info_sets.items()
                  for h, limit in _entering(game, iset, assessment.profile).items()

@@ -8,14 +8,17 @@ library must reproduce them bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from countercollusion import crypto
 from countercollusion.crypto import (
     EQ_TAG,
+    HTG_TAG,
     NEQ_TAG,
     Commitment,
     CryptoError,
@@ -47,6 +50,7 @@ from countercollusion.crypto import (
     _WNAF_WIDTH,
     _challenge,
     _glv_split,
+    _jacobi,
     _naf_digits,
     _prove,
 )
@@ -231,6 +235,17 @@ def test_eq_soundness_rate_toy():
 
 SECP = setup("secp256k1", b"\x01")
 
+# secp256k1 generators for seed b"\x01", as the square-root-only loop
+# (``_sqrt_only_hash_to_group``) derived them before the Jacobi pre-test
+KAT_SECP_P = (0x0A0D1216E7A5D714C6622DB057EF0C133EDF964EDD9DF1A67195353B89A28802,
+              0xE199308CD8D4EA94829CEE14C518E6FA123E0DE5D4B815D675834093909A320A)
+KAT_SECP_Q = (0xD2D636AF70012586F7CE15AFF35F9E291F8CFE046A87BBF95B407654881EBE91,
+              0x4EE57E4460BBDC0118B7F690328EBEAA39C2270357C605725791CD27B0E19AFA)
+
+
+def test_secp_generator_kat():
+    assert (SECP.P, SECP.Q) == (KAT_SECP_P, KAT_SECP_Q)
+
 
 def test_secp_generators_on_curve_and_deterministic():
     backend = SECP.backend
@@ -241,6 +256,50 @@ def test_secp_generators_on_curve_and_deterministic():
     assert (again.P, again.Q) == (SECP.P, SECP.Q)
     other = setup("secp256k1", b"\x02")
     assert (other.P, other.Q) != (SECP.P, SECP.Q)
+
+
+def _sqrt_only_hash_to_group(tag, seed):
+    """secp256k1 hash-to-group with no Jacobi pre-test: every candidate's
+    square root is taken and checked by squaring.  Returns the point and
+    the number of candidates tried."""
+    g = SECP.backend
+    p, counter = g.p, 0
+    while True:
+        h = hashlib.sha256(
+            HTG_TAG + b"|" + g.wire_name + b"|" + tag + b"|" + seed + b"|" + counter.to_bytes(4, "big")
+        ).digest()
+        x = int.from_bytes(h, "big") % p
+        y2 = (x * x * x + 7) % p
+        y = pow(y2, (p + 1) // 4, p)
+        if (y * y) % p == y2 and x != 0:
+            return (x, y if y % 2 == 0 else p - y), counter + 1
+        counter += 1
+
+
+def test_secp_hash_to_group_matches_the_square_root_only_loop():
+    """500 (tag, seed) pairs give the points of the loop without the
+    pre-test; the sample holds candidates the pre-test skips."""
+    g = SECP.backend
+    tries = []
+    for tag in (b"P", b"Q"):
+        for i in range(250):
+            seed = i.to_bytes(2, "big")
+            point, n = _sqrt_only_hash_to_group(tag, seed)
+            assert g.hash_to_group(tag, seed) == point, (tag, seed)
+            tries.append(n)
+    assert max(tries) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_jacobi_symbol_is_eulers_criterion(data):
+    """For a prime ``n``, ``_jacobi(a, n)`` is ``a^((n-1)/2) mod n`` read as
+    1, -1 or 0."""
+    n = data.draw(st.sampled_from([SECP.backend.p, SECP.q, TOY.backend.p, TOY.q, 3, 5, 7]))
+    a = data.draw(st.one_of(st.sampled_from([0, 1, 2, -1, n, 2 * n, n - 1]),
+                            st.integers(-2**300, 2**300)))
+    euler = pow(a, (n - 1) // 2, n)
+    assert _jacobi(a, n) == (-1 if euler == n - 1 else euler)
 
 
 def test_secp_group_laws():
@@ -376,6 +435,15 @@ def _elements(gp):
     return st.one_of(st.sampled_from(fixed), hashed)
 
 
+def _jacobian(gp, a, z):
+    """The affine ``a`` in Jacobian coordinates ``(x*z^2, y*z^3, z)``, as
+    ``diff`` hands ``mul`` a base; the identity stays ``None``."""
+    if a is None:
+        return None
+    p = gp.backend.p
+    return (a[0] * z * z % p, a[1] * z * z * z % p, z)
+
+
 def _entries(gp):
     """``mul`` without tables (every base gets per-call rows), and the tabled
     entry ``GroupParams.mul``, where ``P`` and ``Q`` read the rows that
@@ -387,11 +455,22 @@ def _entries(gp):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_mul_matches_double_and_add(gp, data):
-    terms = data.draw(st.lists(st.tuples(_scalars(gp.q), _elements(gp)), min_size=1, max_size=3))
+    """Scalars 1 and -1 are drawn often: on an affine base ``mul`` adds
+    them with no rows.  On secp256k1 each base is passed again in Jacobian
+    coordinates with a drawn ``Z``, or left affine."""
+    scalars = st.one_of(st.sampled_from([1, -1]), _scalars(gp.q))
+    terms = data.draw(st.lists(st.tuples(scalars, _elements(gp)), min_size=1, max_size=3))
     flat = [x for term in terms for x in term]
     expected = _ref_sum(gp, flat)
+    calls = [flat]
+    if gp is SECP:
+        zs = data.draw(st.lists(st.one_of(st.none(), st.integers(1, gp.backend.p - 1)),
+                                min_size=len(terms), max_size=len(terms)))
+        calls.append([x for (k, a), z in zip(terms, zs)
+                      for x in (k, a if z is None else _jacobian(gp, a, z))])
     for mul in _entries(gp):
-        assert mul(*flat) == expected
+        for call in calls:
+            assert mul(*call) == expected
 
 
 @GROUPS
@@ -428,13 +507,62 @@ def test_mul_rejects_a_scalar_without_its_element(gp):
 
 @pytest.mark.parametrize("which", ["P", "Q"])
 def test_generator_tables_hold_odd_multiples_and_their_lambda_images(which):
+    """Width 7: each row holds ``P, 3P, ..., 63P`` and then their negations
+    in reverse order, so every odd digit ``d`` of either sign reads ``d*P``
+    as ``row[d >> 1]``; the lambda row holds the images in the same order."""
     base = getattr(SECP, which)
     width, row, lambda_row = SECP.tables[base]
-    assert width == _FIXED_WIDTH
-    assert len(row) == len(lambda_row) == 2 ** (width - 2)
-    for i, (entry, image) in enumerate(zip(row, lambda_row)):
-        assert entry == _ref_mul(SECP, 2 * i + 1, base)
-        assert image == _ref_mul(SECP, _GLV_LAMBDA, entry)
+    assert width == _FIXED_WIDTH == 7
+    assert len(row) == len(lambda_row) == 2 ** (width - 1)
+    for d in range(-(2 ** (width - 1)) + 1, 2 ** (width - 1), 2):
+        entry = _ref_mul(SECP, d, base)
+        assert row[d >> 1] == entry
+        assert lambda_row[d >> 1] == (_GLV_BETA * entry[0] % SECP.backend.p, entry[1])
+    assert lambda_row[0] == _ref_mul(SECP, _GLV_LAMBDA, base)
+
+
+def test_per_call_rows_of_a_jacobian_base_hold_both_signs():
+    """The width-5 rows ``mul`` builds for a Jacobian base such as ``D``:
+    ``d*D`` at ``row[d >> 1]`` for every odd ``d`` in ``[-15, 15]``, true
+    affine."""
+    g = SECP.backend
+    other = g.hash_to_group(b"rows-test", b"\x00")
+    d_affine, jac = g.sub(SECP.P, other), g.diff(SECP.P, other)
+    assert len(jac) == 3 and jac[2] != 1
+    (width, row, lambda_row), = g._odd_multiples([jac], _WNAF_WIDTH)
+    assert width == _WNAF_WIDTH and len(row) == len(lambda_row) == 16
+    for d in range(-15, 16, 2):
+        assert row[d >> 1] == _ref_mul(SECP, d, d_affine)
+        assert lambda_row[d >> 1] == _ref_mul(SECP, d * _GLV_LAMBDA, d_affine)
+
+
+@pytest.mark.parametrize("kind", ["eq", "neq"])
+def test_an_accepted_secp_verify_makes_one_mul_call_and_one_inversion(kind, monkeypatch):
+    """The batch inversion of ``D``'s rows is the only ``pow(., -1, p)``:
+    ``D`` itself stays Jacobian and the identity sum is never made affine."""
+    g, rng = SECP.backend, random.Random(11)
+    m = rng.randrange(SECP.q)
+    o1 = Opening(m, rng.randrange(SECP.q))
+    o2 = Opening(m if kind == "eq" else m + 1, rng.randrange(SECP.q))
+    c1, c2 = commit(SECP, *o1), commit(SECP, *o2)
+    prove, verify = (prove_eq, verify_eq) if kind == "eq" else (prove_neq, verify_neq)
+    proof = prove(SECP, c1, c2, o1, o2, rng)
+    inversions, muls = [], []
+    real_mul = type(g).mul
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1 and mod == g.p:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    def counting_mul(self, *args, **kwargs):
+        muls.append(args)
+        return real_mul(self, *args, **kwargs)
+
+    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(type(g), "mul", counting_mul)
+    assert verify(SECP, c1, c2, proof)
+    assert (len(muls), len(inversions)) == (1, 1)
 
 
 def test_setup_builds_equal_tables_per_call():
@@ -612,9 +740,21 @@ def test_toy_neq_forgery_needs_log_q_p():
     assert verify_neq(TOY, c1, c2, NeqProof(t=t, eta1=eta1, eta2=eta2))
 
 
+class _ZeroNonces:
+    """A ``rng`` whose every scalar is 0: a proof made with it has the
+    identity ``t`` and ``eta_i = delta*w_i``, and still verifies."""
+
+    @staticmethod
+    def randrange(n):
+        return 0
+
+
 def _verdict_cases(gp, rng):
     """``(verify, reference, c1, c2, proof)`` for honest, tampered, swapped,
-    identity, ``C1 == C2``, forged, transplanted and simulated proofs."""
+    identity, ``C1 == C2``, forged, transplanted and simulated proofs, and
+    for the kernel's edges: ``D`` the identity (``C1 == C2``), ``D`` a
+    doubling (``C2 == -C1``), the identity ``t`` and a zero ``eta``, each
+    in an accepted and a rejected proof."""
     g, q = gp.backend, gp.q
     m = rng.randrange(q)
     m2 = (m + 1 + rng.randrange(q - 1)) % q
@@ -623,6 +763,20 @@ def _verdict_cases(gp, rng):
     eq = prove_eq(gp, c1, c1b, Opening(m, s1), Opening(m, s2), rng)
     neq = prove_neq(gp, c1, c2, Opening(m, s1), Opening(m2, s2), rng)
     ident = g.identity
+    zero = _ZeroNonces()
+    # C2 == -C1: zero1 and its negation hide the message 0, c1 and minus_c1
+    # hide m and -m
+    zero1, zero2 = commit(gp, 0, s1), commit(gp, 0, -s1)
+    minus_c1 = commit(gp, -m, -s1)
+    assert zero2.value == g.neg(zero1.value) and minus_c1.value == g.neg(c1.value)
+    eq_doubled = prove_eq(gp, zero1, zero2, Opening(0, s1), Opening(0, -s1), rng)
+    neq_doubled = prove_neq(gp, c1, minus_c1, Opening(m, s1), Opening(-m, -s1), rng)
+    # C1 == C2 with zero nonces: t and eta are the identity and 0
+    eq_same_zero = prove_eq(gp, c1, c1, Opening(m, s1), Opening(m, s1), zero)
+    assert (eq_same_zero.t, eq_same_zero.eta) == (ident, 0)
+    eq_zero_t = prove_eq(gp, c1, c1b, Opening(m, s1), Opening(m, s2), zero)
+    neq_zero_t = prove_neq(gp, c1, c2, Opening(m, s1), Opening(m2, s2), zero)
+    assert eq_zero_t.t == neq_zero_t.t == ident
 
     def moved(c):
         return Commitment(g.add(c.value, gp.P))
@@ -638,6 +792,13 @@ def _verdict_cases(gp, rng):
         (c1, c1, eq),
         (c1, c1, prove_eq(gp, c1, c1, Opening(m, s1), Opening(m, s1), rng)),
         (c1, c2, eq),
+        (c1, c1, eq_same_zero),
+        (c1, c1, EqProof(ident, 1)),
+        (zero1, zero2, eq_doubled),
+        (zero1, zero2, EqProof(eq_doubled.t, (eq_doubled.eta + 1) % q)),
+        (c1, c1b, eq_zero_t),
+        (c1, c1b, EqProof(ident, (eq_zero_t.eta + 1) % q)),
+        (c1, c1b, EqProof(eq.t, 0)),
     ]
     neqs = [
         (c1, c2, neq),
@@ -650,6 +811,13 @@ def _verdict_cases(gp, rng):
         (c1, moved(c2), neq),
         (c2, c1, neq),
         (c1, c1, neq),
+        (c1, c1, NeqProof(ident, 0, 0)),
+        (c1, minus_c1, neq_doubled),
+        (c1, minus_c1, NeqProof(neq_doubled.t, neq_doubled.eta1, (neq_doubled.eta2 + 1) % q)),
+        (c1, c2, neq_zero_t),
+        (c1, c2, NeqProof(ident, neq_zero_t.eta1, (neq_zero_t.eta2 + 1) % q)),
+        (c1, c2, NeqProof(neq.t, 0, neq.eta2)),
+        (c1, c2, NeqProof(neq.t, neq.eta1, 0)),
         *_neq_forgeries(gp, rng),
     ]
     return ([(verify_eq, _ref_verify_eq, *case) for case in eqs]

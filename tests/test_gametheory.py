@@ -267,6 +267,27 @@ def test_assessment_validation():
     assert err.value.code == "bad-assessment"
 
 
+def test_consistency_check_rejects_a_missing_belief_set():
+    game = build_game("g1", BASE)
+    ref = reference_equilibrium(game)
+    for beliefs in ({}, {s: b for s, b in ref.beliefs.items() if s != "I2"}):
+        with pytest.raises(GameError) as err:
+            check_consistency(game, Assessment(ref.profile, beliefs))
+        assert err.value.code == "bad-assessment"
+
+
+def test_consistency_check_rejects_a_missing_profile_set():
+    """``I1`` is the set whose profile gives ``I2``'s limits, ``I2`` only
+    its own; either missing is a malformed assessment."""
+    game = build_game("g1", BASE)
+    ref = reference_equilibrium(game)
+    for missing in ("I1", "I2"):
+        profile = {s: d for s, d in ref.profile.items() if s != missing}
+        with pytest.raises(GameError) as err:
+            check_consistency(game, Assessment(profile, ref.beliefs))
+        assert err.value.code == "bad-assessment"
+
+
 # ---------------------------------------------------------------------------
 # Reference equilibria: outcomes and values
 # ---------------------------------------------------------------------------
