@@ -18,17 +18,19 @@ Hankerson-Menezes-Vanstone, Guide to ECC, section 3.5): each scalar splits
 into two halves of at most 128 bits, so the shared chain is about 128
 doublings instead of 256, with no extra point additions.  Each base adds
 from a row of true-affine odd multiples and their negations, and its
-``(beta*x, y)`` image.  For the generators ``P`` and ``Q`` those rows are
-built once, by ``setup``, at width 7 (32 multiples each; Guide to ECC,
-section 3.3) and kept in ``GroupParams.tables``; ``GroupParams.mul`` passes
-them in.  Every other base (in the protocol only ``D = C1 - C2``, which
-stays in Jacobian coordinates) gets width-5 rows (8 multiples) per call,
-made affine with one Montgomery batch inversion; the result's ``Z`` is the
-call's only other field inversion.  A term of scalar 1 or -1 is added once,
-with no rows: a verifier adds ``-t`` that way and checks for the identity,
-which is never made affine, so an accepted proof costs one inversion.  One flat
-loop adds the row points of the nonzero NAF digits only, with the point
-formulas inline over local ints.  Calls per operation are the same on both
+``(beta*x, y)`` image.  A row is a co-Z chain (Meloni, WAIFI 2007): one
+doubling, then one co-Z addition of ``2a`` per odd multiple, made affine
+with one field inversion for all the rows a call builds.  For the
+generators ``P`` and ``Q`` those rows are built once, by ``setup``, at
+width 8 (64 multiples each; Guide to ECC, section 3.3) and kept in
+``GroupParams.tables``; ``GroupParams.mul`` passes them in.  Every other
+base (in the protocol only ``D = C1 - C2``, which stays in Jacobian
+coordinates) gets width-5 rows (8 multiples) per call; the result's ``Z``
+is the call's only other field inversion.  A term of scalar 1 or -1 is
+added once, with no rows: a verifier adds ``-t`` that way and checks for
+the identity, which is never made affine, so an accepted proof costs one
+inversion.  One flat loop adds the row points of the nonzero NAF digits
+only, with the point formulas inline over local ints.  Calls per operation are the same on both
 groups: ``commit`` 1, ``prove_eq`` and ``prove_neq`` 3 each (two of them
 re-open the commitments), ``verify_eq`` and ``verify_neq`` 1 each.
 
@@ -173,11 +175,12 @@ class _ToyGroup:
 #: 8 odd multiples per base.
 _WNAF_WIDTH = 5
 
-#: NAF width of the generator tables ``setup`` builds: 32 odd multiples per
-#: row, digits odd in ``[-63, 63]``.  The build costs about twice width 6's;
-#: the Jacobi pre-test of ``hash_to_group``, which spares the square root of
-#: every non-residue candidate, pays for it within ``setup``.
-_FIXED_WIDTH = 7
+#: NAF width of the generator tables ``setup`` builds: 64 odd multiples per
+#: row, digits odd in ``[-127, 127]``.  Each GLV half of ``P`` or ``Q`` then
+#: takes about 128/9, 14.2, additions where width 7 took 16.  The co-Z rows
+#: of ``_odd_multiples`` build width 8 for about a tenth more than width 7
+#: cost with Jacobian additions.
+_FIXED_WIDTH = 8
 
 #: Bit positions of ``mul``'s schedule: NAFs of GLV halves (< 2^128) end by 128.
 _SCHEDULE_LEN = 129
@@ -275,8 +278,24 @@ class _Secp256k1Group:
     def diff(self, a, b):
         """``a - b`` as a ``mul`` base: Jacobian ``(X, Y, Z)``, or ``None``
         for the identity.  ``mul`` makes it affine in the batch inversion
-        of its rows, so the difference costs no inversion of its own."""
-        return self._jadd(self._to_jac(a), self._to_jac(self.neg(b)))
+        of its rows, so the difference costs no inversion of its own.  Two
+        affine points add by the affine+affine formula (4M+2S, the result's
+        ``Z`` is the difference of their ``x``), where ``_jadd`` would spend
+        16 multiplications on ``Z1 = Z2 = 1``."""
+        if a is None or b is None:
+            return self._to_jac(a if b is None else self.neg(b))
+        p = self.p
+        x1, y1 = a
+        H = (b[0] - x1) % p
+        R = (-b[1] - y1) % p
+        if not H:
+            # b = a gives the identity; b = -a gives 2a (never of order 2: q is odd)
+            return None if R else self._jdouble((x1, y1, 1))
+        H2 = H * H % p
+        H3 = H * H2 % p
+        V = x1 * H2 % p
+        X = (R * R - H3 - 2 * V) % p
+        return (X, (R * (V - X) - y1 * H3) % p, H)
 
     def _odd_multiples(self, bases, w):
         """``(w, row, lambda_row)`` per base ``a``, affine ``(x, y)`` or
@@ -285,36 +304,71 @@ class _Secp256k1Group:
         reverse order, so that a NAF digit ``d`` of either sign reads
         ``d*a`` as ``row[d >> 1]``; ``lambda_row`` holds their images
         ``(beta*x, y)`` under the endomorphism in the same order, all true
-        affine.  The rows are built in Jacobian coordinates and brought to
-        affine with one Montgomery batch inversion for all bases together."""
+        affine.
+
+        Each row is a co-Z chain (Meloni, WAIFI 2007; Longa-Miri, PKC 2008).
+        One doubling gives ``2a`` at ``Z = 2*Y*Z``, and ``a`` at that ``Z``
+        for free, as ``(X*(2Y)^2, Y*(2Y)^3)``.  Each next odd multiple is
+        then one co-Z addition of ``2a`` (ZADDU, 5M+2S), which also gives
+        ``2a`` again at the sum's ``Z``: the old ``Z`` times the factor
+        ``F``, the difference of the two points' ``X``.  The factors are
+        kept, so the inverse of a row's last ``Z``, walked back multiplying
+        by them, makes the whole row affine.  That ``Z`` is not tracked:
+        ``2a`` is ``(TX0, TY0)`` at the first ``Z`` and ``(TX, TY)`` at the
+        last, so the last is ``Z * TX0 * TY / (TY0 * TX)``.  The rows'
+        denominators share one Montgomery batch inversion, the call's only
+        one.  No exceptional case occurs.  Adding ``2a`` to ``i*a`` with
+        equal ``X`` would need ``(i -+ 2)*a`` to be the identity for an odd
+        ``i < 2^(w-1)``, far below the prime order ``q``; the curve has no
+        point of order 2, so no ``Y`` is 0, and none with ``x = 0`` (7 is
+        not a square mod ``p``), so no ``X`` is 0; and no base is the identity
+        (``mul`` skips a ``None`` base, such as ``D = O``)."""
         p, n = self.p, 1 << (w - 2)
-        jac = []
+        chains, nums, dens = [], [], []
         for a in bases:
-            pt = a if len(a) == 3 else self._to_jac(a)
-            twice = self._jdouble(pt)
-            jac.append(pt)
+            X, Y, Z = a if len(a) == 3 else (a[0], a[1], 1)
+            Y2 = Y * Y % p
+            S = 4 * X * Y2 % p
+            M = 3 * X * X % p
+            TX = (M * M - 2 * S) % p
+            TY = (M * (S - TX) - 8 * Y2 * Y2) % p
+            Z = 2 * Y * Z % p
+            X, Y, TX0, TY0 = S, 8 * Y2 * Y2 % p, TX, TY
+            # each odd multiple with the factor F that took the previous Z to its own
+            chain = [(X, Y, 1)]
             for _ in range(n - 1):
-                pt = self._jadd(pt, twice)
-                jac.append(pt)
-        # prefix[i] = Z_0 * ... * Z_(i-1); walking back, inv = 1/(Z_0 * ... * Z_i)
-        prefix, zs = [], 1
-        for _, _, z in jac:
-            prefix.append(zs)
-            zs = zs * z % p
-        inv, affine = pow(zs, -1, p), [None] * len(jac)
-        for i in range(len(jac) - 1, -1, -1):
-            x, y, z = jac[i]
-            zinv = prefix[i] * inv % p
-            inv = inv * z % p
-            z2 = zinv * zinv % p
-            affine[i] = (x * z2 % p, y * z2 * zinv % p)
-
-        def signed(row):
-            return row + [(x, p - y) for x, y in reversed(row)]
-
-        rows = [affine[j:j + n] for j in range(0, len(affine), n)]
-        return [(w, signed(row), signed([(_GLV_BETA * x % p, y) for x, y in row]))
-                for row in rows]
+                F = X - TX
+                A = F * F % p
+                B = TX * A % p
+                C = X * A % p
+                R = Y - TY
+                TX, TY = B, TY * (C - B) % p
+                X = (R * R - B - C) % p
+                Y = (R * (B - X) - TY) % p
+                chain.append((X, Y, F))
+            chains.append(chain)
+            nums.append(TY0 * TX % p)
+            dens.append(Z * TX0 * TY % p)
+        # prefix[j] = dens[0] * ... * dens[j-1]; walking back, inv = 1/(dens[0] * ... * dens[j])
+        prefix, ds = [], 1
+        for d in dens:
+            prefix.append(ds)
+            ds = ds * d % p
+        inv, out = pow(ds, -1, p), [None] * len(chains)
+        for j in range(len(chains) - 1, -1, -1):
+            zinv = prefix[j] * inv * nums[j] % p
+            inv = inv * dens[j] % p
+            chain, row, lambda_row = chains[j], [None] * (2 * n), [None] * (2 * n)
+            for i in range(n - 1, -1, -1):
+                X, Y, F = chain[i]
+                z2 = zinv * zinv % p
+                x, y = X * z2 % p, Y * z2 * zinv % p
+                zinv = zinv * F % p
+                bx, ny = _GLV_BETA * x % p, p - y
+                row[i], row[~i] = (x, y), (x, ny)
+                lambda_row[i], lambda_row[~i] = (bx, y), (bx, ny)
+            out[j] = (w, row, lambda_row)
+        return out
 
     def fixed_base_tables(self, *bases) -> dict:
         """Width-``_FIXED_WIDTH`` rows of each base, keyed by the base, for
@@ -339,8 +393,8 @@ class _Secp256k1Group:
         ``tables`` (``GroupParams.tables``: the generators ``P`` and ``Q``,
         built once by ``setup``) reads both rows from there, at width
         ``_FIXED_WIDTH``.  Every other base gets width-5 rows
-        ``a, 3a, ..., 15a`` and their negations, built for this call and
-        made affine with one Montgomery batch inversion
+        ``a, 3a, ..., 15a`` and their negations, built for this call as
+        co-Z chains and made affine with one field inversion
         (``_odd_multiples``).  The schedule lists, per bit position, the row
         points of the nonzero digits (``_naf_digits``); the loop walks it
         from the top over a Jacobian ``X, Y, Z`` in local ints (``Z == 0``:

@@ -507,12 +507,12 @@ def test_mul_rejects_a_scalar_without_its_element(gp):
 
 @pytest.mark.parametrize("which", ["P", "Q"])
 def test_generator_tables_hold_odd_multiples_and_their_lambda_images(which):
-    """Width 7: each row holds ``P, 3P, ..., 63P`` and then their negations
+    """Width 8: each row holds ``P, 3P, ..., 127P`` and then their negations
     in reverse order, so every odd digit ``d`` of either sign reads ``d*P``
     as ``row[d >> 1]``; the lambda row holds the images in the same order."""
     base = getattr(SECP, which)
     width, row, lambda_row = SECP.tables[base]
-    assert width == _FIXED_WIDTH == 7
+    assert width == _FIXED_WIDTH == 8
     assert len(row) == len(lambda_row) == 2 ** (width - 1)
     for d in range(-(2 ** (width - 1)) + 1, 2 ** (width - 1), 2):
         entry = _ref_mul(SECP, d, base)
@@ -536,6 +536,73 @@ def test_per_call_rows_of_a_jacobian_base_hold_both_signs():
         assert lambda_row[d >> 1] == _ref_mul(SECP, d * _GLV_LAMBDA, d_affine)
 
 
+def _row_bases(data):
+    """One to four ``_odd_multiples`` bases in drawn order: affine ``k*P``,
+    and Jacobian ``diff(k*P, j*Q)`` or ``diff(k*P, -k*P)`` (the doubling
+    branch), each with its affine point."""
+    g = SECP.backend
+    nonzero = st.one_of(st.sampled_from([1, 2, SECP.q - 1]), st.integers(1, SECP.q - 1))
+    bases = [(a, a) for a in (_ref_mul(SECP, k, SECP.P)
+                              for k in data.draw(st.lists(nonzero, min_size=1, max_size=2)))]
+    for k, j in data.draw(st.lists(st.tuples(nonzero, st.none() | nonzero), max_size=2)):
+        a = _ref_mul(SECP, k, SECP.P)
+        b = g.neg(a) if j is None else _ref_mul(SECP, j, SECP.Q)
+        bases.append((g.diff(a, b), g.sub(a, b)))
+    return data.draw(st.permutations(bases))
+
+
+@pytest.mark.parametrize("w", [_WNAF_WIDTH, _FIXED_WIDTH])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_odd_multiples_match_double_and_add(w, data):
+    """The co-Z rows of several bases built in one call: ``row[d >> 1]`` is
+    ``d*a`` for every odd ``d`` of either sign, and ``lambda_row[d >> 1]``
+    its image ``(beta*x, y)``, whichever place the base takes in the call."""
+    g, p = SECP.backend, SECP.backend.p
+    bases = _row_bases(data)
+    rows = g._odd_multiples([base for base, _ in bases], w)
+    assert len(rows) == len(bases)
+    for (_, a), (width, row, lambda_row) in zip(bases, rows):
+        assert width == w and len(row) == len(lambda_row) == 2 ** (w - 1)
+        for d in range(1, 2 ** (w - 1), 2):
+            entry = _ref_mul(SECP, d, a)
+            assert row[d >> 1] == entry and row[-d >> 1] == g.neg(entry)
+            image = (_GLV_BETA * entry[0] % p, entry[1])
+            assert lambda_row[d >> 1] == image and lambda_row[-d >> 1] == g.neg(image)
+
+
+def _count_inversions(monkeypatch) -> list:
+    """The list that every later ``pow(., -1, p)`` of the crypto module
+    appends its base to."""
+    inversions, p = [], SECP.backend.p
+
+    def counting_pow(base, exp, mod=None):
+        if exp == -1 and mod == p:
+            inversions.append(base)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    return inversions
+
+
+@pytest.mark.parametrize("w", [_WNAF_WIDTH, _FIXED_WIDTH])
+def test_odd_multiples_of_several_bases_make_one_inversion(w, monkeypatch):
+    """The rows share one batch inversion, whatever the number of bases or
+    their coordinates."""
+    g = SECP.backend
+    others = [g.hash_to_group(b"rows-test", bytes([i])) for i in range(2)]
+    bases = [SECP.P, SECP.Q, *(g.diff(SECP.P, other) for other in others)]
+    inversions = _count_inversions(monkeypatch)
+    assert len(g._odd_multiples(bases, w)) == 4
+    assert len(inversions) == 1
+
+
+def test_no_secp_point_has_x_zero():
+    """``x^3 + 7`` at ``x = 0`` is not a square, so no Jacobian ``X`` is 0:
+    ``_odd_multiples`` divides by the ``X`` of ``2a``."""
+    assert _jacobi(7, SECP.backend.p) == -1
+
+
 @pytest.mark.parametrize("kind", ["eq", "neq"])
 def test_an_accepted_secp_verify_makes_one_mul_call_and_one_inversion(kind, monkeypatch):
     """The batch inversion of ``D``'s rows is the only ``pow(., -1, p)``:
@@ -547,19 +614,13 @@ def test_an_accepted_secp_verify_makes_one_mul_call_and_one_inversion(kind, monk
     c1, c2 = commit(SECP, *o1), commit(SECP, *o2)
     prove, verify = (prove_eq, verify_eq) if kind == "eq" else (prove_neq, verify_neq)
     proof = prove(SECP, c1, c2, o1, o2, rng)
-    inversions, muls = [], []
-    real_mul = type(g).mul
-
-    def counting_pow(base, exp, mod=None):
-        if exp == -1 and mod == g.p:
-            inversions.append(base)
-        return pow(base, exp, mod)
+    muls, real_mul = [], type(g).mul
 
     def counting_mul(self, *args, **kwargs):
         muls.append(args)
         return real_mul(self, *args, **kwargs)
 
-    monkeypatch.setattr(crypto, "pow", counting_pow, raising=False)
+    inversions = _count_inversions(monkeypatch)
     monkeypatch.setattr(type(g), "mul", counting_mul)
     assert verify(SECP, c1, c2, proof)
     assert (len(muls), len(inversions)) == (1, 1)
