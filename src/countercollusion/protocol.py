@@ -35,7 +35,6 @@ one crosscheck share one.  The contracts verify every proof they receive.
 from __future__ import annotations
 
 import enum
-import hashlib
 import random
 from typing import NamedTuple, Optional
 
@@ -49,7 +48,7 @@ from .contracts import (
     fork,
 )
 from .crypto import (Commitment, CryptoError, EqProof, GroupParams, NeqProof, Opening, commit,
-                     digest, prove_eq, prove_neq, setup)
+                     digest, prove_eq, prove_neq, setup, sha256)
 from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
@@ -135,7 +134,7 @@ class Task(NamedTuple):
                 raise ScenarioError("invalid-task", "rounds out of range")
             data = self.input_bytes()
             for _ in range(self.rounds):
-                data = hashlib.sha256(data).digest()
+                data = sha256(data).digest()
             return data
         if self.kind == "arithmetic-expression":
             try:
@@ -173,7 +172,7 @@ def _eval_arith(expr: str, x: int) -> int:
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
             value = ev(node.operand)
             return -value if isinstance(node.op, ast.USub) else value
-        elif isinstance(node, ast.Constant) and isinstance(node.value, int):
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
             return node.value
         elif isinstance(node, ast.Name) and node.id == "x":
             return x

@@ -535,6 +535,7 @@ def test_hostile_arithmetic_task_is_a_scenario_error(capsys, tmp_path):
         ("3", "x" + "+x" * 200000),
         ("9" * 4000, "x*x"),  # 8000 digits, past the int-to-str digit limit
         (str(2**64 - 1), "x**64*x**64*x**64*x**64"),  # 4932 digits
+        ("3", "True"),  # a bool literal, not an integer
     ]:
         scenario = {"task": {"kind": "arithmetic-expression", "x": x, "expr": expr}}
         cfg.write_text(json.dumps(scenario))

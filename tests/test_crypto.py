@@ -8,8 +8,12 @@ library must reproduce them bit for bit.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -917,3 +921,40 @@ def test_challenge_changes_with_each_input(gp, changed, monkeypatch):
     else:
         args[changed] = EQ_TAG if changed == "tag" else other
     assert _challenge(gp, *args.values()) != delta
+
+
+# ---------------------------------------------------------------------------
+# Where SHA-256 comes from: the built-in module, or hashlib where none is built
+# ---------------------------------------------------------------------------
+
+
+@given(st.binary())
+def test_sha256_matches_hashlib(data):
+    assert crypto.sha256(data).digest() == hashlib.sha256(data).digest()
+
+
+_HASHLIB_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+sys.path.insert(0, sys.argv[1])
+import hashlib, random
+from countercollusion import crypto
+toy = crypto.setup("toy", b"\\x01")
+c1, c2 = crypto.commit(toy, 7, 11), crypto.commit(toy, 7, 13)
+proof = crypto.prove_eq(toy, c1, c2, crypto.Opening(7, 11), crypto.Opening(7, 13),
+                        random.Random(42))
+secp = crypto.setup("secp256k1", b"\\x01")
+print([crypto.sha256 is hashlib.sha256, toy.P, toy.Q, crypto.digest(toy, b"counter-collusion"),
+       proof.t, proof.eta, secp.P, secp.Q])
+"""
+
+
+def test_hashlib_fallback_reproduces_the_known_answers():
+    """With both built-in modules hidden, ``crypto`` takes ``hashlib.sha256``
+    and still gives the pinned generators of both groups, digest and
+    equality proof (whose ``eta`` holds the challenge)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _HASHLIB_FALLBACK, str(src)],
+                         check=True, capture_output=True, text=True).stdout
+    assert ast.literal_eval(out) == [True, KAT_P, KAT_Q, KAT_DIGEST_CC, KAT_EQ_T, KAT_EQ_ETA,
+                                     KAT_SECP_P, KAT_SECP_Q]

@@ -391,7 +391,8 @@ def test_arithmetic_task():
 
 @pytest.mark.parametrize("x, expr", [
     *(pytest.param("5", expr, id=expr)
-      for expr in ("__import__('os')", "x / 2", "x | 1", "foo", "x.bit_length()")),
+      for expr in ("__import__('os')", "x / 2", "x | 1", "foo", "x.bit_length()",
+                   "True", "x + False")),
     pytest.param("5", "x" + "+x" * 200000, id="sum-of-200001"),
     pytest.param("5", "-" * 100000 + "x", id="negated-100000-times"),
     pytest.param("5", "-" * 999 + "x", id="negated-999-times"),

@@ -3,12 +3,14 @@
 Records are ``typing.NamedTuple`` classes: immutable, equal by value and,
 when every field is hashable, usable as dict keys.  Contracts are mutable
 and equal only to themselves.  A fresh interpreter that imports the CLI,
-sets up a group and analyzes a game loads neither ``dataclasses`` nor
-``inspect``, nor ``ast``, ``fractions`` or ``decimal``.
+analyzes a game on toy and runs a scenario on secp256k1 loads neither
+``dataclasses`` nor ``inspect``, nor ``ast``, ``fractions`` or
+``decimal``, nor ``hashlib`` where the interpreter builds its own SHA-256.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import subprocess
 import sys
 from fractions import Fraction
@@ -184,17 +186,18 @@ def test_each_prisoners_contract_has_its_own_workers_and_deliveries():
 
 def _loaded_at_cold_start(modules, tmp_path):
     """Which of ``modules`` a fresh interpreter has loaded once it imported
-    the CLI, set up secp256k1 and analyzed g4 on toy through ``cli.main``."""
+    the CLI, analyzed g4 on toy and run a scenario on secp256k1 through
+    ``cli.main``."""
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import countercollusion.cli\n"
-            "from countercollusion import crypto\n"
-            "crypto.setup('secp256k1')\n"
             "countercollusion.cli.main(['analyze', '--game', 'g4', '--t', '314',\n"
-            "                           '--out', sys.argv[2]])\n"
+            "                           '--out', sys.argv[2] + '/g4.json'])\n"
+            "countercollusion.cli.main(['run', '--group', 'secp256k1',\n"
+            "                           '--out', sys.argv[2] + '/run.json'])\n"
             f"print(sorted({set(modules)!r} & set(sys.modules)))\n")
     # -S: no site hooks, so only the package and the stdlib it imports count
-    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), str(tmp_path / "g4.json")],
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), str(tmp_path)],
                          check=True, capture_output=True, text=True).stdout
     return out.strip()
 
@@ -208,3 +211,11 @@ def test_cold_import_loads_neither_ast_nor_fractions(tmp_path):
     divides: a pure profile's values and beliefs, the consistency check
     included, stay in ints (``fractions`` would load ``decimal``)."""
     assert _loaded_at_cold_start({"ast", "fractions", "decimal"}, tmp_path) == "[]"
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter builds no SHA-256 module of its own")
+def test_cold_start_loads_no_openssl(tmp_path):
+    """Every hash is the interpreter's built-in SHA-256, so no command
+    loads ``hashlib`` and with it OpenSSL's ``_hashlib``."""
+    assert _loaded_at_cold_start({"hashlib", "_hashlib"}, tmp_path) == "[]"
