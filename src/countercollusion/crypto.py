@@ -103,6 +103,9 @@ NEQ_TAG = b"countercollusion/nizk-neq/v2"
 #: A scalar is a plain int in ``[0, q)``; helpers reduce on entry.
 Scalar = int
 
+#: The ``tables`` of a group without precomputed generator rows.
+_NO_TABLES: dict = {}
+
 
 class CryptoError(CodedError):
     """Cryptographic precondition failure."""
@@ -142,8 +145,9 @@ class _ToyGroup:
     #: ``a - b`` as a ``mul`` base: on toy, ``sub``.
     diff = sub
 
-    def mul(self, k: int, a: int, *more: int) -> int:
-        """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``."""
+    def mul(self, k: int, a: int, *more: int, tables=_NO_TABLES) -> int:
+        """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``; toy has no
+        generator rows, so ``tables`` is ignored."""
         if len(more) % 2:
             raise ValueError("mul takes (scalar, element) pairs")
         p, q = self.p, self.q
@@ -197,8 +201,6 @@ _FIXED_WIDTH = 8
 
 #: Bit positions of ``mul``'s schedule: NAFs of GLV halves (< 2^128) end by 128.
 _SCHEDULE_LEN = 129
-
-_NO_TABLES: dict = {}
 
 
 class _Secp256k1Group:
@@ -619,8 +621,6 @@ class GroupParams(NamedTuple):
     def mul(self, *terms):
         """``k*a + k2*a2 + ...`` for ``terms = (k, a, k2, a2, ...)``, with
         ``P`` and ``Q`` read from ``tables``."""
-        if not self.tables:
-            return self.backend.mul(*terms)
         return self.backend.mul(*terms, tables=self.tables)
 
     @property

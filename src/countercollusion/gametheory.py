@@ -35,7 +35,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import CodedError
 from .ledger import Params, validate_params
@@ -312,6 +312,7 @@ def family_of(coalition: bool, report: bool) -> tuple[str, tuple[str, str]]:
     return _FAMILY_OF[coalition, report]
 
 
+@functools.lru_cache(maxsize=None)
 def _layout(game_id: str):
     """Number the family's nodes layer by layer, breadth first: ``v0, v1, ...``
     for nodes that continue the engagement and ``u0, u1`` for declined
@@ -320,7 +321,8 @@ def _layout(game_id: str):
     in order of play, with a ``.k`` suffix only if the player owns several.
 
     Returns the decision nodes, the info sets, and each terminal's payoff
-    cell ``(rho, i, j)`` (``None`` for a declined offer)."""
+    cell ``(rho, i, j)`` (``None`` for a declined offer).  Cached: a family
+    is laid out once per process, and its dicts are only read."""
     layers = _FAMILIES[game_id].layers
     v_ids, u_ids = itertools.count(1), itertools.count()
     groups = [(0, ("v0",))]  # (layer, sibling decision nodes), in order of play
@@ -357,18 +359,13 @@ def _layout(game_id: str):
     return decisions, info_sets, terminals
 
 
-@functools.lru_cache(maxsize=None)
-def _labels(game_id: str) -> dict[tuple[int, int, int], str]:
-    """Each payoff cell's terminal label, from one ``_layout`` pass."""
-    return {cell: f"{game_id.upper()}:{nid}"
-            for nid, cell in _layout(game_id)[2].items() if cell is not None}
-
-
-def terminal_label(game_id: str, rho: int, i: int, j: int) -> str:
-    """Label of the terminal reached after report ``rho`` (0 = none) and the
-    deliveries ``i`` of player 1 and ``j`` of player 2 (0 = fx, 1 = r,
-    2 = other)."""
-    return _labels(game_id)[rho, i, j]
+def terminal_label(game_id: str, path: Iterable[str]) -> str:
+    """Label of the terminal that the actions of ``path``, in order of play,
+    reach from the root of the family ``game_id``."""
+    decisions, nid = _layout(game_id)[0], "v0"
+    for action in path:
+        nid = decisions[nid].children[action]
+    return f"{game_id.upper()}:{nid}"
 
 
 def build_game(game_id: str, params: Params) -> Game:
@@ -380,7 +377,7 @@ def build_game(game_id: str, params: Params) -> Game:
     for nid, cell in terminals.items():
         if cell is None:
             utilities = _FAMILIES[plain].cell(params, 0, 0, 0)
-            label = terminal_label(plain, 0, 0, 0)
+            label = terminal_label(plain, ("no_report",) * family.report + ("fx", "fx"))
         else:
             utilities, label = family.cell(params, *cell), f"{game_id.upper()}:{nid}"
         nodes[nid] = Node(nid, utilities=utilities, label=label)
@@ -764,47 +761,26 @@ def _scenario_grid(game: Game):
                traitor_enabled)
 
 
-def _cell_outcomes(game: Game, gp, seed: int):
-    """Yield ``(terminal node id, outcome)`` for every cell of
-    ``_scenario_grid(game)``: the play ``run_scenario`` makes at the game's
-    parameters over ``gp``.  The engagement is checked and derived once, the
-    cells that share roles, reports and the traitor flag share one opening,
-    and each cell settles its own fork of it, except the opening's last
-    cell, which settles the opening itself.  All cells share one
-    ``Prover``, so a proof is made once per statement and verified in every
-    cell that receives it."""
-    from .protocol import Prover, Task, _engage, _open_play, _settle_play
-
-    engagement = _engage(game.params, Task(), gp, seed, None)
-    prover, openings = Prover(gp, engagement.task, seed), {}  # kept for this call only
-    grid = list(_scenario_grid(game))
-    keys = [(s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
-             traitor_enabled) for _, s1, s2, traitor_enabled in grid]
-    last = {key: i for i, key in enumerate(keys)}  # each opening's last cell
-    for i, ((nid, s1, s2, traitor_enabled), key) in enumerate(zip(grid, keys)):
-        if key not in openings:
-            openings[key] = _open_play(engagement, s1, s2, traitor_enabled)
-        opening = openings.pop(key) if last[key] == i else openings[key].fork()
-        yield nid, _settle_play(engagement, prover, opening, s1, s2)
-
-
 def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:
     """Replay every terminal of ``game`` as a full contract scenario at the
     game's parameters, every one over the group ``gp`` (a
     ``crypto.GroupParams``), and compare terminal labels and exact money
     deltas against the tree.
 
-    Every cell is the play ``run_scenario`` makes (``_cell_outcomes``):
-    bids, coalition and report run once per opening, not once per cell.
+    Every cell is the play ``run_scenario`` makes, played by
+    ``protocol.play_all``: bids, coalition and report run once per opening,
+    not once per cell.
 
     Returns ``(cells checked, mismatches)``; an empty mismatch list means the
     game tree and the executable protocol agree everywhere.
     """
+    from .protocol import Task, play_all
+
+    grid = list(_scenario_grid(game))
+    outcomes = play_all(game.params, Task(), [cell[1:] for cell in grid], gp, seed)
     mismatches: list[dict] = []
-    cells = 0
-    for nid, out in _cell_outcomes(game, gp, seed):
+    for (nid, *_), out in zip(grid, outcomes):
         node = game.nodes[nid]
-        cells += 1
         actual = (out.deltas["cloud1"], out.deltas["cloud2"])
         if out.terminal_label != node.label or actual != node.utilities:
             mismatches.append({
@@ -814,4 +790,4 @@ def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:
                 "expected_deltas": node.utilities,
                 "actual_deltas": actual,
             })
-    return cells, mismatches
+    return len(grid), mismatches

@@ -17,26 +17,27 @@ end to end under configurable cloud strategies:
 The driver enforces the protocol conventions: each cloud computes ``f(x)``
 at most once (costs are transfers into the ``costs`` sink account), the
 client always raises a dispute once a traitor's contract exists, and the
-first report wins.  The outcome is labeled with the terminal node of the
-corresponding extensive-form game family (G1 plain, G2 coalition, G3
-reporting without coalition, G4 coalition plus reporting).
+first report wins.  The outcome is labeled with the terminal node that the
+played actions reach in the corresponding extensive-form game family (G1
+plain, G2 coalition, G3 reporting without coalition, G4 coalition plus
+reporting).
 
 A play is an opening (bids, coalition, report and side delivery, up to t=4),
 which ignores ``ctp_action``, then a settlement (deliveries, arbitration,
-the traitor check, enforcement, the invariants and the ``Outcome``).  Plays
-that differ only in their deliveries can settle forks of one opening.
-
-The off-chain proofs of a settlement come from a ``Prover``: the arbiter's
-random stream, its opening of its own result, and each (in)equality proof
-made once per statement.  ``run_scenario`` makes one per play; the plays of
-one crosscheck share one.  The contracts verify every proof they receive.
+the traitor check, enforcement, the invariants and the ``Outcome``).
+``play_all`` plays a list of plays of one engagement: plays that differ only
+in their deliveries settle forks of one opening, and all share one
+``Prover``, which holds the arbiter's random stream, its opening of its own
+result, and each (in)equality proof made once per statement.  The contracts
+verify every proof they receive.  ``run_scenario`` is a one-play
+``play_all``.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import CodedError
 from .contracts import (
@@ -63,6 +64,7 @@ __all__ = [
     "Prover",
     "ScenarioError",
     "run_scenario",
+    "play_all",
     "setup",
     "ttp_resolve",
 ]
@@ -305,11 +307,6 @@ def ttp_resolve(ctp: PrisonersContract, prover: Prover,
 # ---------------------------------------------------------------------------
 
 
-#: the delivery index of each action in a terminal's payoff cell
-_ACTION_INDEX = {CtpAction.FX: 0, CtpAction.R: 1, CtpAction.OTHER: 2, CtpAction.WITHHOLD: 2}
-#: the report index ``rho`` of each choice (0 = no report)
-_REPORT_INDEX = {choice: rho for rho, choice in enumerate(ReportChoice)}
-
 _CLIENT, _TTP = AccountId("client"), AccountId("ttp")
 _CLOUDS = (AccountId("cloud1"), AccountId("cloud2"))
 _COSTS = AccountId("costs", kind="sink")
@@ -373,16 +370,31 @@ def run_scenario(
     (re-exported here) and passes it to every scenario it runs.  ``seed``
     fixes the blindings and the derived wrong values.
     """
-    return _play(_engage(params, task, gp, seed, schedule), strat1, strat2, traitor_enabled)
+    [outcome] = play_all(params, task, [(strat1, strat2, traitor_enabled)], gp, seed, schedule)
+    return outcome
 
 
-def _play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
-          traitor_enabled: Optional[bool]) -> Outcome:
-    """One play of ``eng`` on a fresh ledger, with fresh contracts, the
-    seed's own random stream and its own ``Prover``: its opening, then its
-    settlement."""
-    return _settle_play(eng, Prover(eng.gp, eng.task, eng.seed),
-                        _open_play(eng, strat1, strat2, traitor_enabled), strat1, strat2)
+def play_all(params: Params, task: Task, plays, gp: GroupParams, seed: int = 0,
+             schedule: Optional[Schedule] = None) -> Iterator[Outcome]:
+    """Yield the outcome of each ``(strat1, strat2, traitor_enabled)`` of
+    ``plays``, in order: each is the one ``run_scenario`` gives for it alone.
+
+    The engagement is checked and derived once.  The plays that share roles,
+    reports and the traitor flag share one opening, and each settles its
+    own fork of it, except the opening's last play, which settles the
+    opening itself.  All plays share one ``Prover``, so a proof is made once
+    per statement and verified in every play that receives it."""
+    plays = list(plays)
+    eng = _engage(params, task, gp, seed, schedule)
+    prover, openings = Prover(gp, task, seed), {}
+    keys = [(s1.coalition_role, s2.coalition_role, s1.report_choice, s2.report_choice,
+             traitor_enabled) for s1, s2, traitor_enabled in plays]
+    last = {key: i for i, key in enumerate(keys)}  # each opening's last play
+    for i, ((s1, s2, traitor_enabled), key) in enumerate(zip(plays, keys)):
+        if key not in openings:
+            openings[key] = _open_play(eng, s1, s2, traitor_enabled)
+        opening = openings.pop(key) if last[key] == i else openings[key].fork()
+        yield _settle_play(eng, prover, opening, s1, s2)
 
 
 class _Opening:
@@ -571,14 +583,18 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
 
     # the game has a coalition prefix iff a coalition formed and a report
     # layer iff the traitor module is on; player 2 is the responder, else the
-    # reporter, else cloud2 by convention
+    # reporter, else cloud2 by convention.  The path played: the coalition
+    # moves, player 2's report, then both deliveries, ``withhold`` as ``other``
     game_id, role_names = family_of(opening.coalition_formed, opening.traitor_enabled)
     second = opening.responder if opening.coalition_formed else reporter or clouds[1]
     players = (clouds[1 - clouds.index(second)], second)
-    act = [_ACTION_INDEX[strategies[cl].ctp_action] for cl in players]
-    rho = 0 if reporter is None else _REPORT_INDEX[strategies[reporter].report_choice]
+    path = ["init", "collude"] if opening.coalition_formed else []
+    if opening.traitor_enabled:
+        path.append(strategies[reporter].report_choice.value if reporter else "no_report")
+    actions = [strategies[cl].ctp_action for cl in players]
+    path += [CtpAction.OTHER.value if a is CtpAction.WITHHOLD else a.value for a in actions]
     return Outcome(
-        terminal_label=terminal_label(game_id, rho, *act),
+        terminal_label=terminal_label(game_id, path),
         game_family=game_id.upper(),
         deltas=deltas,
         roles={cl.id: role for cl, role in zip(players, role_names)},

@@ -223,16 +223,16 @@ def test_analyze_g1_clean(capsys):
     assert sets["I1"]["full_deviation_max_gain"] == "0"
 
 
-def test_a_cold_analyze_lays_each_game_out_at_most_three_times(capsys, monkeypatch):
-    """g4's tree, the g3 label its declined offers share, and g4's label
-    table: each is one ``_layout`` pass, not one per crosscheck cell."""
-    calls = []
-    layout = gametheory._layout
-    monkeypatch.setattr(gametheory, "_layout", lambda game_id: calls.append(game_id) or layout(game_id))
-    gametheory._labels.cache_clear()
-    code, report, _ = run_cli(capsys, "analyze", "--game", "g4")
-    assert report["crosscheck"] == {"cells": 29, "mismatches": []}
-    assert len(calls) <= 3
+def test_each_family_is_laid_out_once_per_process(capsys):
+    """A cold ``analyze --game g4`` lays out g4 (its tree and every
+    crosscheck label) and g3 (the label its declined offers share) once
+    each; a second ``analyze`` lays out nothing."""
+    gametheory._layout.cache_clear()
+    for _ in range(2):
+        code, report, _ = run_cli(capsys, "analyze", "--game", "g4")
+        assert report["crosscheck"] == {"cells": 29, "mismatches": []}
+        info = gametheory._layout.cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and info.hits > 29
 
 
 def test_analyze_g4_base_params_fails_honestly(capsys):

@@ -37,8 +37,9 @@ from countercollusion.gametheory import (
     payoff_crosscheck,
     play,
     reference_equilibrium,
+    terminal_label,
 )
-from countercollusion.gametheory import _cell_outcomes, _node_values, _scenario_grid
+from countercollusion.gametheory import _node_values, _scenario_grid
 from countercollusion.ledger import Params, validate_params
 from oracles import (
     assessment_distance,
@@ -73,6 +74,24 @@ def test_tree_shapes():
         assert len(game.nodes) == n_nodes
         assert len(game.info_sets) == n_sets
         assert len(game.terminals()) == n_terms
+
+
+@pytest.mark.parametrize("gid", GAMES)
+def test_terminal_label_follows_the_actions_from_the_root(gid):
+    """Each terminal is the one ``terminal_label`` reaches along the actions
+    from the root to it.  A declined offer's terminal is labelled as the
+    honest terminal of the family without the coalition prefix."""
+    game = build_game(gid, BASE)
+    for terminal in game.terminals():
+        path, nid = [], terminal.node_id
+        while nid in game.parents:
+            nid, action = game.parents[nid]
+            path.insert(0, action)
+        assert terminal_label(gid, path) == f"{gid.upper()}:{terminal.node_id}"
+        if terminal.node_id.startswith("u"):
+            assert terminal.label == ("G3:v13" if gid == "g4" else "G1:v4")
+        else:
+            assert terminal.label == terminal_label(gid, path)
 
 
 def test_unknown_game_rejected():
@@ -963,7 +982,9 @@ def _check_forked_cells(monkeypatch, game, gp, seed):
     fresh, mismatches = _cell_by_cell(game, gp, seed)
     fresh_checks = collections.Counter(tag for tag, *_ in log.verified)
     log.clear()
-    forked = dict(_cell_outcomes(game, gp, seed))
+    grid = list(_scenario_grid(game))
+    plays = protocol.play_all(game.params, protocol.Task(), [cell[1:] for cell in grid], gp, seed)
+    forked = {nid: out for (nid, *_), out in zip(grid, plays)}
     assert list(forked) == list(fresh) and forked == fresh
     assert [statement for statement, _ in log.made] == list(dict.fromkeys(log.asked))
     assert collections.Counter(tag for tag, *_ in log.verified) == fresh_checks

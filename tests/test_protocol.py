@@ -35,6 +35,8 @@ TASK = Task()
 TOY = setup("toy")
 
 ACTIONS = (CtpAction.FX, CtpAction.R, CtpAction.OTHER)
+#: the 48 static strategies
+STRATEGIES = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
 
 
 def strat(role=Role.HONEST, report=ReportChoice.NO_REPORT, action=CtpAction.FX):
@@ -443,19 +445,23 @@ def test_neq_proof_with_challenge_zero_verifies():
 # Frozen before the contracts' escrow transitions were folded into one helper;
 # any change to a transfer, a clause tag or a record field shows.
 SCENARIO_SUBSET_DIGEST = "50586d7b1919e420f3748f2a141acf2fcf962738dbfe0daf8ebd3c50a5f5f6ec"
+# All 6480 runs of ``scenario_runs_digest(consistent_pairs())``, which the CI
+# workflow checks (about 2.5 s).
+SCENARIO_GRID_DIGEST = "0cb65ca9e7fe3f0ae01a739567d55f096068de0c65a43339138556e01c7691c8"
 
 
-def test_scenario_runs_are_byte_identical():
-    """Every 10th consistent strategy pair, with the traitor module forced on,
-    forced off and left to the strategies, hashed label, deltas, roles,
-    transcript and clauses (or the error code).  The full grid of 6480 runs
-    hashes to ``0cb65ca9e7fe3f0a...`` the same way."""
-    strategies = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
-    pairs = [(s1, s2) for s1, s2 in itertools.product(strategies, strategies)
-             if not (s1.coalition_role is Role.INITIATE and s2.coalition_role is Role.INITIATE)]
-    assert len(pairs) == 2160
+def consistent_pairs():
+    """The 2160 pairs of the 48 static strategies without two initiators."""
+    return [(s1, s2) for s1, s2 in itertools.product(STRATEGIES, STRATEGIES)
+            if not (s1.coalition_role is Role.INITIATE and s2.coalition_role is Role.INITIATE)]
+
+
+def scenario_runs_digest(pairs):
+    """SHA-256 over the runs of ``pairs`` on toy at seed 5, with the traitor
+    module left to the strategies, forced on and forced off: each run's
+    label, deltas, roles, transcript and clauses (or the error code)."""
     h = hashlib.sha256()
-    for s1, s2 in pairs[::10]:
+    for s1, s2 in pairs:
         for traitor_enabled in (None, True, False):
             try:
                 out = run_scenario(BASE, TASK, s1, s2, TOY, seed=5,
@@ -465,7 +471,15 @@ def test_scenario_runs_are_byte_identical():
             except ScenarioError as exc:
                 run = ["error", exc.code]
             h.update(json.dumps(run, sort_keys=True).encode())
-    assert h.hexdigest() == SCENARIO_SUBSET_DIGEST
+    return h.hexdigest()
+
+
+def test_scenario_runs_are_byte_identical():
+    """Every 10th consistent strategy pair hashes as frozen.  The CI
+    workflow checks the full grid against ``SCENARIO_GRID_DIGEST``."""
+    pairs = consistent_pairs()
+    assert len(pairs) == 2160
+    assert scenario_runs_digest(pairs[::10]) == SCENARIO_SUBSET_DIGEST
 
 
 def _per_play_ttp_resolve(ctp, task, received, rng):
@@ -534,9 +548,7 @@ def test_a_play_makes_the_proofs_of_its_own_stream(monkeypatch):
     stream makes, byte for byte, on every 40th consistent strategy pair
     with each traitor flag on toy, and on a few pairs on secp256k1.  None
     of these plays asks for one statement twice (see the next test)."""
-    strategies = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
-    pairs = [(s1, s2) for s1, s2 in itertools.product(strategies, strategies)
-             if not (s1.coalition_role is Role.INITIATE and s2.coalition_role is Role.INITIATE)]
+    pairs = consistent_pairs()
     assert len(pairs) == 2160
     secp = setup("secp256k1")
     runs = [(TOY, seed, *pair, flag) for seed in (5, 59) for pair in pairs[::40]
@@ -596,13 +608,52 @@ def _outcome_or_code(play, *args):
 
 def test_plays_of_one_engagement_equal_fresh_runs():
     """A crosscheck plays every cell from one engagement; each play must be
-    the run ``run_scenario`` makes alone, whatever was played before it."""
-    engagement = protocol._engage(BASE, TASK, TOY, 5, None)
-    strategies = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
-    for s1, s2 in itertools.product(strategies[::3], strategies[::4]):
-        for traitor_enabled in (None, True, False):
-            fresh = _outcome_or_code(run_scenario, BASE, TASK, s1, s2, TOY, 5, traitor_enabled)
-            assert _outcome_or_code(protocol._play, engagement, s1, s2, traitor_enabled) == fresh
+    the run ``run_scenario`` makes alone, whatever was played before it.  A
+    play it rejects is rejected with the same code after another play."""
+    plays = [(s1, s2, traitor_enabled)
+             for s1, s2 in itertools.product(STRATEGIES[::3], STRATEGIES[::4])
+             for traitor_enabled in (None, True, False)]
+    fresh = [_outcome_or_code(run_scenario, BASE, TASK, s1, s2, TOY, 5, traitor_enabled)
+             for s1, s2, traitor_enabled in plays]
+    valid = [play for play, out in zip(plays, fresh) if isinstance(out, protocol.Outcome)]
+    outcomes = iter(protocol.play_all(BASE, TASK, valid, TOY, 5))
+    for play, out in zip(plays, fresh):
+        if isinstance(out, protocol.Outcome):
+            assert next(outcomes) == out
+        else:
+            after = protocol.play_all(BASE, TASK, [valid[0], play], TOY, 5)
+            next(after)
+            assert _outcome_or_code(next, after) == out
+    assert next(outcomes, None) is None
+
+
+def test_play_all_yields_each_plays_own_run():
+    """``play_all`` over plays of every family, with the traitor module left
+    to the strategies, forced on and forced off, and under a custom
+    schedule: each outcome, transcript included, is that play's
+    ``run_scenario``.  Two initiators are rejected as ``run_scenario``
+    rejects them."""
+    schedule = Schedule(T1=12, T2=25, T3=40, T4=18, T5=45)
+    plays = [
+        (strat(), strat(), None),
+        (strat(action=CtpAction.R), strat(action=CtpAction.WITHHOLD), False),
+        (strat(Role.INITIATE, action=CtpAction.R), strat(Role.ACCEPT, action=CtpAction.R), None),
+        (strat(), strat(report=ReportChoice.REPORT_CORRECT), None),
+        (strat(Role.INITIATE), strat(Role.ACCEPT, ReportChoice.REPORT_CORRECT, CtpAction.R), True),
+        (strat(), strat(action=CtpAction.OTHER), True),
+        (strat(Role.INITIATE, action=CtpAction.R), strat(Role.ACCEPT, action=CtpAction.FX), None),
+        (strat(), strat(), None),
+    ]
+    outcomes = list(protocol.play_all(BASE, TASK, plays, TOY, 11, schedule))
+    assert outcomes == [run(s1, s2, seed=11, traitor_enabled=traitor_enabled, schedule=schedule)
+                        for s1, s2, traitor_enabled in plays]
+    assert {out.game_family for out in outcomes} == {"G1", "G2", "G3", "G4"}
+    two_initiators = [(strat(Role.INITIATE), strat(Role.INITIATE), None)]
+    for play in (lambda: run(*two_initiators[0][:2]),
+                 lambda: list(protocol.play_all(BASE, TASK, two_initiators, TOY, 7))):
+        with pytest.raises(ScenarioError) as err:
+            play()
+        assert err.value.code == "inconsistent-strategies"
 
 
 def _escrows(ledger):
@@ -639,7 +690,7 @@ def test_forks_of_one_opening_share_nothing_a_settlement_changes(s1, s2):
     again = [protocol._settle_play(engagement, provers[1], opening.fork(), *pair)
              for pair in reversed(pairs)]
     assert again[::-1] == outcomes
-    assert outcomes == [protocol._play(engagement, *pair, None) for pair in pairs]
+    assert outcomes == [run_scenario(BASE, TASK, *pair, TOY, 5) for pair in pairs]
     assert _ledger_state(opening.ledger) == before
 
     originals = _escrows(opening.ledger)
