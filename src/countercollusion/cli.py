@@ -23,6 +23,7 @@ import json
 import os
 import random
 import sys
+from enum import Enum
 from typing import Optional
 
 from . import CodedError
@@ -47,21 +48,11 @@ from .crypto import (
 )
 from .gametheory import GAME_IDS, analyze_reference, payoff_crosscheck
 from .ledger import Params, validate_params
-from .protocol import (
-    CloudStrategy,
-    CtpAction,
-    ReportChoice,
-    Role,
-    Schedule,
-    ScenarioError,
-    Task,
-    run_scenario,
-)
+from .protocol import CloudStrategy, Schedule, ScenarioError, Task, run_scenario
 
 __all__ = ["main", "ConfigError"]
 
 DEFAULT_PARAMS = Params(w=100, c=10, ch=201, d=212, t=309, b=5)
-_PARAM_KEYS = ("w", "c", "ch", "d", "t", "b")
 _GROUPS = ("toy", "secp256k1")
 
 
@@ -83,66 +74,34 @@ def _check_keys(d: dict, allowed: tuple[str, ...], what: str) -> None:
         raise ConfigError(f"unknown keys in {what}: {', '.join(unknown)}")
 
 
-def _int_field(d: dict, key: str, what: str) -> int:
-    value = d[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{what}.{key} must be an integer (got {value!r})")
-    return value
-
-
-def _params_from_dict(d: dict) -> Params:
-    if not isinstance(d, dict):
-        raise ConfigError("params must be an object")
-    _check_keys(d, _PARAM_KEYS, "params")
-    missing = sorted(set(_PARAM_KEYS) - set(d))
-    if missing:
-        raise ConfigError(f"params missing keys: {', '.join(missing)}")
-    return Params(**{k: _int_field(d, k, "params") for k in _PARAM_KEYS})
-
-
-def _enum_field(cls, raw, what: str):
-    try:
-        return cls(raw)
-    except ValueError:
-        valid = ", ".join(member.value for member in cls)
-        raise ConfigError(f"{what} must be one of: {valid} (got {raw!r})") from None
-
-
-def _strategy_from_dict(d: dict, what: str) -> CloudStrategy:
+def _record_from_dict(cls, d, what: str):
+    """The record ``cls`` parsed from config object ``d``.  The record is its
+    own schema: its fields are the allowed keys, a field with no default is
+    required, and a field's default gives its type (an enum member, parsed by
+    its value; a string; else an integer, as for ``Task.cost``'s ``None``)."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} must be an object")
-    _check_keys(d, ("coalition_role", "report_choice", "ctp_action"), what)
-    return CloudStrategy(
-        coalition_role=_enum_field(Role, d.get("coalition_role", "honest"),
-                                   f"{what}.coalition_role"),
-        report_choice=_enum_field(ReportChoice, d.get("report_choice", "no_report"),
-                                  f"{what}.report_choice"),
-        ctp_action=_enum_field(CtpAction, d.get("ctp_action", "fx"), f"{what}.ctp_action"),
-    )
-
-
-def _task_from_dict(d: dict) -> Task:
-    if not isinstance(d, dict):
-        raise ConfigError("task must be an object")
-    _check_keys(d, ("kind", "x", "rounds", "expr", "cost"), "task")
-    kwargs = {}
-    for key in ("kind", "x", "expr"):
-        if key in d:
-            if not isinstance(d[key], str):
-                raise ConfigError(f"task.{key} must be a string")
-            kwargs[key] = d[key]
-    for key in ("rounds", "cost"):
-        if key in d:
-            kwargs[key] = _int_field(d, key, "task")
-    return Task(**kwargs)
-
-
-def _schedule_from_dict(d: dict) -> Schedule:
-    if not isinstance(d, dict):
-        raise ConfigError("schedule must be an object")
-    keys = ("T1", "T2", "T3", "T4", "T5")
-    _check_keys(d, keys, "schedule")
-    return Schedule(**{k: _int_field(d, k, "schedule") for k in keys if k in d})
+    _check_keys(d, cls._fields, what)
+    defaults = cls._field_defaults
+    missing = sorted(set(cls._fields) - set(d) - set(defaults))
+    if missing:
+        raise ConfigError(f"{what} missing keys: {', '.join(missing)}")
+    fields = {}
+    for key in (k for k in cls._fields if k in d):
+        value, default, name = d[key], defaults.get(key), f"{what}.{key}"
+        if isinstance(default, Enum):
+            try:
+                value = type(default)(value)
+            except ValueError:
+                valid = ", ".join(member.value for member in type(default))
+                raise ConfigError(f"{name} must be one of: {valid} (got {value!r})") from None
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string")
+        elif not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be an integer (got {value!r})")
+        fields[key] = value
+    return cls(**fields)
 
 
 _SCENARIO_KEYS = ("params", "task", "cloud1", "cloud2", "seed", "traitor_enabled", "schedule")
@@ -153,17 +112,19 @@ def _scenario_from_dict(d: dict) -> dict:
         raise ConfigError("scenario config must be an object")
     _check_keys(d, _SCENARIO_KEYS, "scenario")
     scenario = {
-        "params": _params_from_dict(d["params"]) if "params" in d else DEFAULT_PARAMS,
-        "task": _task_from_dict(d.get("task", {})),
-        "strat1": _strategy_from_dict(d.get("cloud1", {}), "cloud1"),
-        "strat2": _strategy_from_dict(d.get("cloud2", {}), "cloud2"),
+        "params": (_record_from_dict(Params, d["params"], "params") if "params" in d
+                   else DEFAULT_PARAMS),
+        "task": _record_from_dict(Task, d.get("task", {}), "task"),
+        "strat1": _record_from_dict(CloudStrategy, d.get("cloud1", {}), "cloud1"),
+        "strat2": _record_from_dict(CloudStrategy, d.get("cloud2", {}), "cloud2"),
         "seed": d.get("seed", 0),
         "traitor_enabled": d.get("traitor_enabled"),
-        "schedule": _schedule_from_dict(d["schedule"]) if "schedule" in d else None,
+        "schedule": (_record_from_dict(Schedule, d["schedule"], "schedule") if "schedule" in d
+                     else None),
     }
     if not isinstance(scenario["seed"], int) or isinstance(scenario["seed"], bool):
         raise ConfigError("seed must be an integer")
-    if scenario["traitor_enabled"] not in (None, True, False):
+    if not isinstance(scenario["traitor_enabled"], (bool, type(None))):
         raise ConfigError("traitor_enabled must be true, false, or null")
     return scenario
 
@@ -182,17 +143,10 @@ def _load_config(path: str) -> dict:
 
 def _params_from_args(args) -> Params:
     base = DEFAULT_PARAMS
-    if getattr(args, "config", None):
-        config = _load_config(args.config)
-        base = _params_from_dict(config)
-    overrides = {
-        k: getattr(args, k) for k in _PARAM_KEYS if getattr(args, k, None) is not None
-    }
-    if overrides:
-        merged = {k: getattr(base, k) for k in _PARAM_KEYS}
-        merged.update(overrides)
-        base = Params(**merged)
-    return base
+    if args.config:
+        base = _record_from_dict(Params, _load_config(args.config), "params")
+    return base._replace(**{k: getattr(args, k) for k in Params._fields
+                            if getattr(args, k) is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +166,6 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _params_dict(params: Params) -> dict:
-    return {k: getattr(params, k) for k in _PARAM_KEYS}
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -225,7 +175,7 @@ def cmd_check_params(args) -> int:
     params = _params_from_args(args)
     violations = validate_params(params)
     _emit({
-        "params": _params_dict(params),
+        "params": params._asdict(),
         "z": params.z,
         "violations": violations,
         "ok": not violations,
@@ -236,23 +186,15 @@ def cmd_check_params(args) -> int:
 def _run_one(scenario: dict, gp: GroupParams) -> dict:
     outcome = run_scenario(gp=gp, **scenario)
     return {
+        **outcome._asdict(),
         "group": gp.group_id,
         "seed": scenario["seed"],
-        "params": _params_dict(scenario["params"]),
+        "params": scenario["params"]._asdict(),
         "strategies": {
-            name: {
-                "coalition_role": strat.coalition_role.value,
-                "report_choice": strat.report_choice.value,
-                "ctp_action": strat.ctp_action.value,
-            }
-            for name, strat in (("cloud1", scenario["strat1"]), ("cloud2", scenario["strat2"]))
+            name: {key: choice.value for key, choice in scenario[strat]._asdict().items()}
+            for name, strat in (("cloud1", "strat1"), ("cloud2", "strat2"))
         },
-        "terminal_label": outcome.terminal_label,
-        "game_family": outcome.game_family,
-        "roles": outcome.roles,
-        "deltas": outcome.deltas,
         "settlement_clauses": sorted(set(outcome.settlement_clauses)),
-        "transcript": list(outcome.transcript),
     }
 
 
@@ -340,7 +282,7 @@ def cmd_analyze(args) -> int:
     ok = analysis.ok and crosscheck_ok
     _emit({
         "game": args.game,
-        "params": _params_dict(params),
+        "params": params._asdict(),
         "z": params.z,
         "params_violations": list(analysis.params_violations),
         "rationality": _serialize_rationality(analysis.rationality),
@@ -458,7 +400,7 @@ def cmd_crypto_selftest(args) -> int:
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with the monetary parameters")
-    for key in _PARAM_KEYS:
+    for key in Params._fields:
         parser.add_argument(f"--{key}", type=int, help=f"override parameter {key}")
 
 

@@ -107,13 +107,12 @@ class Game:
         params: Params,
         nodes: dict[str, Node],
         info_sets: dict[str, InfoSet],
-        root: str = "v0",
     ) -> None:
         self.game_id = game_id
         self.params = params
         self.nodes = nodes
         self.info_sets = info_sets
-        self.root = root
+        self.root = "v0"
         self.parents: dict[str, tuple[str, str]] = {}  # node -> (parent, action)
         self._validate()
 
@@ -291,10 +290,9 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = {
-    "g1": _Family(False, False, ("C1", "C2"),
-                  lambda p, rho, i, j: _plain_cell(p, i, j), ("fx", "fx")),
-    "g2": _Family(True, False, ("LDR", "FLR"),
-                  lambda p, rho, i, j: _coalition_cell(p, i, j), ("init", "collude", "r", "r")),
+    "g1": _Family(False, False, ("C1", "C2"), _report_cell, ("fx", "fx")),
+    "g2": _Family(True, False, ("LDR", "FLR"), _coalition_report_cell,
+                  ("init", "collude", "r", "r")),
     "g3": _Family(False, True, ("OTH", "TRA"), _report_cell, ("no_report", "fx", "fx")),
     "g4": _Family(True, True, ("LDR", "FLR"), _coalition_report_cell,
                   ("no_init", "collude", "report_correct", "r", "r")),

@@ -75,7 +75,7 @@ def validate_params(params: Params) -> list[str]:
     plus positivity of every amount.
     """
     violations: list[str] = []
-    for name in ("w", "c", "ch", "d", "t", "b"):
+    for name in Params._fields:
         value = getattr(params, name)
         if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
             violations.append(f"{name} > 0")
@@ -97,12 +97,12 @@ def validate_params(params: Params) -> list[str]:
 class Ledger:
     """Accounts, balances, a monotone clock, and an append-only event log."""
 
-    def __init__(self, balances: dict[AccountId, Money], start_time: int = 0) -> None:
+    def __init__(self, balances: dict[AccountId, Money]) -> None:
         for acct, amount in balances.items():
             if not isinstance(amount, int) or amount < 0:
                 raise LedgerError("bad-amount", f"negative mint for {acct.id}")
         self.balances: dict[AccountId, Money] = dict(balances)
-        self.clock: int = start_time
+        self.clock: int = 0
         self.log: list[dict] = []
         #: the tag of every payout a contract call made out of escrow, in order
         self.settlements: list[str] = []
@@ -110,10 +110,10 @@ class Ledger:
         self._minted: Money = sum(balances.values())
         self._seq: int = 0
 
-    def fresh_account(self, prefix: str, kind: str = "contract") -> AccountId:
-        """Mint a unique zero-balance account (used for contract escrows)."""
+    def fresh_account(self, prefix: str) -> AccountId:
+        """Mint a unique zero-balance contract account (a contract's escrow)."""
         self._seq += 1
-        acct = AccountId(f"{prefix}#{self._seq}", kind=kind)
+        acct = AccountId(f"{prefix}#{self._seq}", kind="contract")
         self.ensure_account(acct)
         return acct
 
@@ -127,9 +127,6 @@ class Ledger:
 
     def ensure_account(self, acct: AccountId) -> None:
         self.balances.setdefault(acct, 0)
-
-    def snapshot(self) -> dict[AccountId, Money]:
-        return dict(self.balances)
 
     def copy(self) -> "Ledger":
         """This ledger's balances, clock, log, settlements and account

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from countercollusion import cli, crypto, gametheory
 from countercollusion.cli import main
+from countercollusion.ledger import Params
+from countercollusion.protocol import CloudStrategy, CtpAction, ReportChoice, Role, Schedule, Task
 
 
 def run_cli(capsys, *argv):
@@ -490,6 +492,96 @@ def test_crypto_selftest_both_groups(capsys):
     assert secp["sizes_bits"] == {
         "commitment": 512, "equality_proof": 768, "inequality_proof": 1024,
     }
+
+
+# ---------------------------------------------------------------------------
+# config schema: each config object is one record, keys and defaults its own
+# ---------------------------------------------------------------------------
+
+#: per scenario key, a config setting every field to a non-default value and
+#: the record it parses to
+_EVERY_FIELD_SET = {
+    "params": ({"w": 50, "c": 7, "ch": 101, "d": 109, "t": 158, "b": 3},
+               Params(w=50, c=7, ch=101, d=109, t=158, b=3)),
+    "task": ({"kind": "arithmetic-expression", "x": "3", "rounds": 5, "expr": "x*x", "cost": 4},
+             Task(kind="arithmetic-expression", x="3", rounds=5, expr="x*x", cost=4)),
+    "cloud1": ({"coalition_role": "initiate", "report_choice": "report_wrong",
+                "ctp_action": "withhold"},
+               CloudStrategy(Role.INITIATE, ReportChoice.REPORT_WRONG, CtpAction.WITHHOLD)),
+    "schedule": ({"T1": 11, "T2": 22, "T3": 33, "T4": 16, "T5": 37},
+                 Schedule(T1=11, T2=22, T3=33, T4=16, T5=37)),
+}
+
+
+@pytest.mark.parametrize("key", list(_EVERY_FIELD_SET))
+def test_a_config_setting_every_field_parses_to_its_record(key):
+    config, record = _EVERY_FIELD_SET[key]
+    defaults = type(record)._field_defaults or cli.DEFAULT_PARAMS._asdict()
+    assert set(config) == set(record._fields)
+    assert all(getattr(record, f) != defaults[f] for f in record._fields)
+    parsed = cli._scenario_from_dict({key: config})[{"cloud1": "strat1"}.get(key, key)]
+    assert type(parsed) is type(record) and parsed == record
+    assert [type(v) for v in parsed] == [type(v) for v in record]
+
+
+@pytest.mark.parametrize("argv", ["check-params", "run"])
+def test_a_params_object_names_its_missing_keys_sorted(capsys, tmp_path, argv):
+    cfg = tmp_path / "config.json"
+    params = {"w": 100, "t": 309}
+    cfg.write_text(json.dumps(params if argv == "check-params" else {"params": params}))
+    code, report, err = run_cli(capsys, argv, "--config", str(cfg))
+    assert (code, report) == (2, None)
+    assert err == "error: params missing keys: b, c, ch, d\n"
+
+
+def test_a_task_names_a_bad_field_in_field_order(capsys, tmp_path):
+    # ``rounds`` comes before ``expr`` in ``Task``, so it is named first
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"task": {"rounds": "7", "expr": 5}}))
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert err == "error: task.rounds must be an integer (got '7')\n"
+
+
+_STRATEGIES = [CloudStrategy(r, rc, a) for r in Role for rc in ReportChoice for a in CtpAction]
+
+
+def _sparse(strategy: CloudStrategy) -> dict:
+    """``strategy`` as a config object that leaves out its default fields."""
+    defaults = CloudStrategy._field_defaults
+    return {k: v.value for k, v in strategy._asdict().items() if v is not defaults[k]}
+
+
+def test_a_reported_strategy_reproduces_its_run(capsys, tmp_path):
+    # pairing each strategy with the one at the mirrored index puts all 48
+    # in both seats and never two initiators together
+    cfg = tmp_path / "scenario.json"
+    for s1, s2 in zip(_STRATEGIES, reversed(_STRATEGIES)):
+        cfg.write_text(json.dumps({"cloud1": _sparse(s1), "cloud2": _sparse(s2), "seed": 3}))
+        assert main(["run", "--config", str(cfg), "--transcript"]) == 0
+        first = capsys.readouterr().out
+        strategies = json.loads(first)["strategies"]
+        assert strategies == {name: {k: v.value for k, v in s._asdict().items()}
+                              for name, s in (("cloud1", s1), ("cloud2", s2))}
+        cfg.write_text(json.dumps({**strategies, "seed": 3}))
+        assert main(["run", "--config", str(cfg), "--transcript"]) == 0
+        assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("value", [1, 1.0, 0, 0.0])
+def test_traitor_enabled_takes_no_numbers(capsys, tmp_path, value):
+    # 1 == True and 0 == False, yet a number is not a JSON boolean
+    cfg = tmp_path / "scenario.json"
+    scenario = {"traitor_enabled": value, "cloud2": {"report_choice": "report_correct"}}
+    detail = "traitor_enabled must be true, false, or null"
+    cfg.write_text(json.dumps(scenario))
+    code, report, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert (code, report, err) == (2, None, f"error: {detail}\n")
+    cfg.write_text(json.dumps([{}, scenario]))
+    code, report, err = run_cli(capsys, "batch", "--config", str(cfg))
+    assert (code, err) == (3, "")
+    assert report["results"][1] == {"scenario_index": 1, "error": "invalid-config",
+                                    "detail": detail}
 
 
 # ---------------------------------------------------------------------------
