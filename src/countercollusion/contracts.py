@@ -20,14 +20,15 @@ Every contract goes through one shared escrow path (``_Escrow``):
 ``create`` record; ``_enter`` logs a transition that moves no money out;
 ``_settle`` is the single writer of settlements -- it pays each
 ``(recipient, amount)`` out of escrow under the tag
-``"<contract>/<verb>/<clause>"``, enters the next state and logs the one
-``"<contract>/<verb>"`` record carrying the clause.  The clause catalog (one
-row per ``_settle`` call) is in the README.  Money leaves an escrow only
-through ``_pay``, which also appends the tag of each payout a call (not a
-timer) makes to ``ledger.settlements``.  Every call either completes or raises
+``"<contract>/<verb>/<clause>"``, enters the next state (cancelling the
+timer if the state is final) and logs the one ``"<contract>/<verb>"``
+record carrying the clause.  The clause catalog (one row per ``_settle``
+call) is in the README.  Money leaves an escrow only through ``_pay``,
+which also appends the tag of each payout a call (not a timer) makes to
+``ledger.settlements``.  Every call either completes or raises
 ``ContractError`` with a stable error code -- contracts never reach
-undefined states.  ``fork`` clones a ledger with every contract on it, so a
-play can branch without replaying its prefix.
+undefined states.  ``fork`` clones a ledger with every live contract on
+it, so a play can branch without replaying its prefix.
 
 State machines (terminal states marked *):
 
@@ -143,6 +144,8 @@ class _Escrow:
         """
         self._pay(verb, clause, payouts)
         self.state = state
+        if state.value in ("DONE", "ABORTED"):  # final: the timer can never fire again
+            self.ledger.cancel_timer(self.on_timer)
         if actor is None:
             self.ledger.record(f"{self._kind}/{verb}", contract=self.account.id,
                                clause=clause, state=state.value)
@@ -152,12 +155,12 @@ class _Escrow:
 
 
 def fork(ledger: Ledger) -> tuple[Ledger, dict[_Escrow, _Escrow]]:
-    """Clone ``ledger`` and every escrow contract registered on it, a decoy
-    that only a traitor's contract references included, keeping the timer
-    order.  The clones reference each other (``ctp``, ``ctc``,
-    ``traitor_contract``) and own their ``workers`` and ``delivered``; the
-    other fields are immutable, or never changed after ``create``, and are
-    shared.  Returns the copy and each original's clone."""
+    """Clone ``ledger`` and every live contract on it (each holds a timer), a
+    decoy that only a traitor's contract references included, in timer
+    order.  The clones reference each other (``ctp``, ``ctc``; a final
+    contract never changes, so it is kept) and own their ``workers`` and
+    ``delivered``; the other fields are immutable, or never changed after
+    ``create``, and are shared.  Returns the copy and each original's clone."""
     twin, clones = ledger.copy(), {}
     for timer in ledger._timers:  # every timer is an escrow's ``on_timer``
         contract = timer.__self__
@@ -166,9 +169,9 @@ def fork(ledger: Ledger) -> tuple[Ledger, dict[_Escrow, _Escrow]]:
         twin.register_timer(clone.on_timer)
     for clone in clones.values():
         fields = vars(clone)
-        for name in ("ctp", "ctc", "traitor_contract"):
-            if fields.get(name) is not None:
-                fields[name] = clones[fields[name]]
+        for name in ("ctp", "ctc"):
+            if name in fields:
+                fields[name] = clones.get(fields[name], fields[name])
         if "workers" in fields:
             fields.update(workers=list(clone.workers), delivered=dict(clone.delivered))
     return twin, clones
@@ -197,7 +200,7 @@ class PrisonersContract(_Escrow):
     delivered: dict[AccountId, Commitment]
     state: PCState = PCState.CREATED
     dispute_record: Optional[DisputeRecord] = None
-    traitor_contract: Optional[TraitorsContract] = None
+    reporter: Optional[AccountId] = None  # the traitor of the first report
 
     _kind = "prisoners"
 
@@ -471,9 +474,8 @@ class TraitorsContract(_Escrow):
     ) -> "TraitorsContract":
         if client != ctp.client:
             raise ContractError("not-client", client.id)
-        if ctp.traitor_contract is not None:
-            raise ContractError("not-first-reporter",
-                                f"{ctp.traitor_contract.traitor.id} already reported")
+        if ctp.reporter is not None:
+            raise ContractError("not-first-reporter", f"{ctp.reporter.id} already reported")
         if ctc.state not in (CCState.CREATED, CCState.COLLUDED):
             raise ContractError("wrong-state", "reported coalition contract not open")
         if traitor not in ctp.workers:
@@ -482,8 +484,8 @@ class TraitorsContract(_Escrow):
             raise ContractError("deadline-passed", "reporting closed")
         contract = cls(ledger=ledger, ctp=ctp, ctc=ctc, account=ledger.fresh_account(cls._kind),
                        client=client, traitor=traitor)
-        ctp.traitor_contract = contract._open(client, ctp.w + 2 * ctp.d - ctp.ch,
-                                              traitor=traitor.id)
+        contract._open(client, ctp.w + 2 * ctp.d - ctp.ch, traitor=traitor.id)
+        ctp.reporter = traitor
         return contract
 
     def join(self, caller: AccountId) -> None:

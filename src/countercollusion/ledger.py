@@ -10,7 +10,9 @@ deltas sum to minus the sink delta.
 Contracts register themselves to receive timer callbacks; ``advance_time``
 moves the clock once and then runs every registered timer to a fixed point,
 which makes one jump of ``dt`` equivalent to ``dt`` unit steps (all timer
-guards are monotone in the clock).
+guards are monotone in the clock).  Timers belong to live contracts: each
+contract cancels its timer as it enters a final state, so a settled ledger
+holds none, and reference counting frees it with its contracts.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ class Ledger:
 
     def __init__(self, balances: dict[AccountId, Money]) -> None:
         for acct, amount in balances.items():
-            if not isinstance(amount, int) or amount < 0:
-                raise LedgerError("bad-amount", f"negative mint for {acct.id}")
+            if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
+                raise LedgerError("bad-amount", f"mint of {amount!r} for {acct.id}")
         self.balances: dict[AccountId, Money] = dict(balances)
         self.clock: int = 0
         self.log: list[dict] = []
@@ -114,7 +116,7 @@ class Ledger:
         """Mint a unique zero-balance contract account (a contract's escrow)."""
         self._seq += 1
         acct = AccountId(f"{prefix}#{self._seq}", kind="contract")
-        self.ensure_account(acct)
+        self.balances.setdefault(acct, 0)
         return acct
 
     # -- bookkeeping ---------------------------------------------------------
@@ -124,9 +126,6 @@ class Ledger:
 
     def balance(self, acct: AccountId) -> Money:
         return self.balances.get(acct, 0)
-
-    def ensure_account(self, acct: AccountId) -> None:
-        self.balances.setdefault(acct, 0)
 
     def copy(self) -> "Ledger":
         """This ledger's balances, clock, log, settlements and account
@@ -148,23 +147,23 @@ class Ledger:
     def transfer(self, src: AccountId, dst: AccountId, amount: Money, tag: str = "transfer") -> None:
         if not isinstance(amount, int) or isinstance(amount, bool) or amount < 0:
             raise LedgerError("bad-amount", f"transfer of {amount!r}")
-        if self.balances.get(src, 0) < amount:
-            raise LedgerError(
-                "insufficient-funds",
-                f"{src.id} has {self.balances.get(src, 0)}, needs {amount}",
-            )
-        if amount == 0:
-            return
-        self.ensure_account(dst)
-        self.balances[src] -= amount
-        self.balances[dst] += amount
-        self.record(tag, actor=src, to=dst.id, amount=amount)
+        balances, have = self.balances, self.balances.get(src, 0)
+        if have < amount:
+            raise LedgerError("insufficient-funds", f"{src.id} has {have}, needs {amount}")
+        if amount:
+            balances[src] = have - amount
+            balances[dst] = balances.get(dst, 0) + amount
+            self.log.append({"time": self.clock, "tag": tag, "actor": src.id, "to": dst.id,
+                             "amount": amount})
 
     # -- time -----------------------------------------------------------------
 
     def register_timer(self, callback: Callable[[], bool]) -> None:
         """Register a timer callback returning True when it made progress."""
         self._timers.append(callback)
+
+    def cancel_timer(self, callback: Callable[[], bool]) -> None:
+        self._timers.remove(callback)
 
     def advance_time(self, dt: int) -> None:
         if not isinstance(dt, int) or isinstance(dt, bool) or dt < 1:
@@ -173,7 +172,7 @@ class Ledger:
         progressed = True
         while progressed:
             progressed = False
-            for callback in self._timers:
+            for callback in tuple(self._timers):  # a firing timer may cancel itself
                 if callback():
                     progressed = True
 

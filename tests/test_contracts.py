@@ -20,6 +20,7 @@ from countercollusion.contracts import (
     PrisonersContract,
     TCState,
     TraitorsContract,
+    fork,
 )
 from countercollusion.crypto import (
     NEQ_TAG,
@@ -669,6 +670,27 @@ def test_traitors_timers():
     assert ctt2.state is TCState.DONE
     assert world2.balance(CLOUD2) == 2000 - D - T - B - CH + (T + B)  # decoy refunded at T4
     assert world2.balance(ctt2.account) == 0
+
+
+def test_a_fork_refers_to_a_final_contract_as_it_is():
+    """Once the reported coalition offer expires, its contract is final and
+    holds no timer, though the traitor's contract still references it.  A
+    fork clones the live contracts, refers to the final one as it is, and
+    settles as the original does, leaving no timer on either ledger."""
+    world = make_world()
+    ctc, ctt, _, _ = setup_report(world)
+    ctt.join(CLOUD2)
+    world.ledger.advance_time(15)  # T4: the offer expires
+    assert ctc.state is CCState.ABORTED
+    assert [timer.__self__ for timer in world.ledger._timers] == [world.ctp, ctt]
+    twin, clones = fork(world.ledger)
+    assert list(clones) == [world.ctp, ctt]
+    assert clones[ctt].ctc is ctc and clones[ctt].ctp is clones[world.ctp]
+    for ledger in (world.ledger, twin):
+        ledger.advance_time(16)  # past T3: nobody delivered, so the timers settle
+    assert twin.log == world.ledger.log and twin.balances == world.ledger.balances
+    assert twin._timers == world.ledger._timers == []
+    assert ctt.state is clones[ctt].state is TCState.DONE
 
 
 def test_all_contract_escrows_empty_at_terminal_states():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from countercollusion import crypto, protocol
+from countercollusion import contracts, crypto, protocol
 from countercollusion.crypto import setup
 from countercollusion.gametheory import (
     Assessment,
@@ -1013,6 +1013,28 @@ def test_forked_cells_equal_fresh_runs_on_secp256k1(monkeypatch):
     game, gp = build_game("g1", BASE), setup("secp256k1")
     _, mismatches = _check_forked_cells(monkeypatch, game, gp, 7)
     assert mismatches == []
+
+
+def test_crosschecks_commit_once_per_opening_and_verify_every_proof(monkeypatch):
+    """The crosschecks of g1-g4 at t=309 and 314 (toy, seed 7) commit each
+    ``(message, blinding)`` once per engagement: 276 commitments, the
+    provers' re-openings of ``com_yt`` included (496 when every cell made
+    its own).  Their contracts still verify every proof a cell receives:
+    140 equality and 176 inequality proofs."""
+    calls = collections.Counter()
+
+    def counted(name, function):
+        return lambda *args: calls.update([name]) or function(*args)
+
+    commit = crypto.commit
+    for module in (crypto, protocol):
+        monkeypatch.setattr(module, "commit", counted("commit", commit))
+    for name in ("verify_eq", "verify_neq"):
+        monkeypatch.setattr(contracts, name, counted(name, getattr(contracts, name)))
+    gp = setup("toy")
+    for gid, t in itertools.product(GAMES, (309, 314)):
+        assert payoff_crosscheck(build_game(gid, BASE._replace(t=t)), gp, 7)[1] == []
+    assert calls == {"commit": 276, "verify_eq": 140, "verify_neq": 176}
 
 
 def test_normal_form_nash_check_for_coalition_game():

@@ -48,8 +48,10 @@ def test_negative_and_bogus_amounts_rejected():
         led.transfer(A, B, -1)
     with pytest.raises(LedgerError):
         led.transfer(A, B, True)
-    with pytest.raises(LedgerError):
-        Ledger({A: -5})
+    for bad in (-5, True, False, 1.5):
+        with pytest.raises(LedgerError) as e:
+            Ledger({A: bad})
+        assert e.value.code == "bad-amount" and repr(bad) in str(e.value)
 
 
 def test_advance_time_requires_positive_int():

@@ -5,6 +5,7 @@ clause arithmetic before the driver existed; they serve as an independent
 oracle for every cell of the four outcome families.
 """
 
+import gc
 import hashlib
 import itertools
 import json
@@ -16,6 +17,7 @@ from countercollusion import crypto, protocol
 from countercollusion.contracts import PrisonersContract, TraitorsContract
 from countercollusion.crypto import (CryptoError, Opening, commit, digest, prove_eq, prove_neq,
                                      setup)
+from countercollusion.gametheory import build_game, payoff_crosscheck
 from countercollusion.ledger import Params
 from countercollusion.protocol import (
     CloudStrategy,
@@ -656,17 +658,21 @@ def test_play_all_yields_each_plays_own_run():
         assert err.value.code == "inconsistent-strategies"
 
 
-def _escrows(ledger):
-    return [timer.__self__ for timer in ledger._timers]
+def _escrows(opening):
+    """The contracts of ``opening`` in order of creation, a decoy coalition
+    contract that only the traitor's contract references included."""
+    ctc = opening.ctc or opening.ctt and opening.ctt.ctc
+    return [contract for contract in (opening.ctp, ctc, opening.ctt) if contract is not None]
 
 
-def _ledger_state(ledger):
-    """Everything a settlement may change on ``ledger`` and its contracts,
-    copied: each contract's containers are copied one level down."""
+def _ledger_state(opening):
+    """Everything a settlement may change on the ledger of ``opening`` and its
+    contracts, copied: each contract's containers are copied one level down."""
+    ledger = opening.ledger
     return (dict(ledger.balances), list(ledger.log), list(ledger.settlements), ledger.clock,
             len(ledger._timers),
             [{name: value.copy() if isinstance(value, (list, dict)) else value
-              for name, value in vars(contract).items()} for contract in _escrows(ledger)])
+              for name, value in vars(contract).items()} for contract in _escrows(opening)])
 
 
 @pytest.mark.parametrize("s1,s2", [
@@ -680,7 +686,7 @@ def test_forks_of_one_opening_share_nothing_a_settlement_changes(s1, s2):
     plays, and leaves the opening as it was."""
     engagement = protocol._engage(BASE, TASK, TOY, 5, None)
     opening = protocol._open_play(engagement, s1, s2, None)
-    before = _ledger_state(opening.ledger)
+    before = _ledger_state(opening)
     pairs = [(s1._replace(ctp_action=a1), s2._replace(ctp_action=a2))
              for a1 in CtpAction for a2 in CtpAction]
     forks = [opening.fork() for _ in pairs]
@@ -691,17 +697,63 @@ def test_forks_of_one_opening_share_nothing_a_settlement_changes(s1, s2):
              for pair in reversed(pairs)]
     assert again[::-1] == outcomes
     assert outcomes == [run_scenario(BASE, TASK, *pair, TOY, 5) for pair in pairs]
-    assert _ledger_state(opening.ledger) == before
+    assert _ledger_state(opening) == before
 
-    originals = _escrows(opening.ledger)
+    originals = _escrows(opening)
     for fork in forks:
-        clones = _escrows(fork.ledger)
+        clones = _escrows(fork)
         assert [type(c) for c in clones] == [type(c) for c in originals]
         assert all(c.ledger is fork.ledger and c not in originals for c in clones)
         for clone in clones:
-            for name in ("ctp", "ctc", "traitor_contract"):
+            for name in ("ctp", "ctc"):
                 assert getattr(clone, name, None) is None or getattr(clone, name) in clones
+        assert fork.ctp.reporter == opening.ctp.reporter == opening.reporter
         assert fork.ctp is clones[0] and (fork.ctt is None) == (opening.ctt is None)
     for name in ("workers", "delivered"):
         owned = [getattr(opening.ctp, name)] + [getattr(fork.ctp, name) for fork in forks]
         assert len({id(obj) for obj in owned}) == len(owned)
+
+
+def _final(contract):
+    return contract.state.value in ("DONE", "ABORTED")
+
+
+def test_a_ledger_holds_the_timers_of_its_live_contracts_only(monkeypatch):
+    """At t=4, where a play is forked, the ledger holds the timer of each
+    contract that is not final, in order of creation; once the play is
+    settled every contract is final and the ledger holds none."""
+    settle, settled = protocol._settle_play, []
+
+    def checked(eng, prover, opening, *strats):
+        live = [c.on_timer for c in _escrows(opening) if not _final(c)]
+        assert opening.ledger.clock == 4 and opening.ledger._timers == live
+        outcome = settle(eng, prover, opening, *strats)
+        assert opening.ledger._timers == [] and all(map(_final, _escrows(opening)))
+        settled.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(protocol, "_settle_play", checked)
+    for gid, cells in (("g1", 9), ("g2", 11), ("g3", 27), ("g4", 29)):
+        assert payoff_crosscheck(build_game(gid, BASE), TOY) == (cells, [])
+    pairs = consistent_pairs()[::97]
+    for s1, s2 in pairs:
+        run_scenario(BASE, TASK, s1, s2, TOY, seed=5)
+    assert len(settled) == 76 + len(pairs)
+
+
+def test_a_settled_play_leaves_no_cyclic_garbage():
+    """A settled play's ledger and contracts reference each other through no
+    cycle, so reference counting frees them: with the cyclic collector off,
+    the crosschecks of g1-g4 and a sample of scenario runs leave it
+    nothing to collect."""
+    gc.collect()
+    gc.disable()
+    try:
+        for gid in ("g1", "g2", "g3", "g4"):
+            assert payoff_crosscheck(build_game(gid, BASE._replace(t=314)), TOY)[1] == []
+        for s1, s2 in consistent_pairs()[::29]:
+            for traitor_enabled in (None, True):
+                run_scenario(BASE, TASK, s1, s2, TOY, seed=5, traitor_enabled=traitor_enabled)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
