@@ -24,7 +24,6 @@ import os
 import random
 import sys
 from enum import Enum
-from typing import Optional
 
 from . import CodedError
 from .crypto import (
@@ -49,6 +48,10 @@ from .crypto import (
 from .gametheory import GAME_IDS, analyze_reference, payoff_crosscheck
 from .ledger import Params, validate_params
 from .protocol import CloudStrategy, Schedule, ScenarioError, Task, run_scenario
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 __all__ = ["main", "ConfigError"]
 

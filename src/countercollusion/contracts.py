@@ -40,11 +40,14 @@ State machines (terminal states marked *):
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple, Optional
 
-from . import CodedError
+from . import CodedError, Record
 from .crypto import Commitment, EqProof, GroupParams, NeqProof, verify_eq, verify_neq
 from .ledger import AccountId, Ledger, Money
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 __all__ = [
     "ContractError",
@@ -87,7 +90,7 @@ class TCState(enum.Enum):
     ABORTED = "ABORTED"
 
 
-class DisputeRecord(NamedTuple):
+class DisputeRecord(Record):
     """Arbitration verdict: the arbiter's result commitment and who cheated."""
 
     com_yt: Commitment

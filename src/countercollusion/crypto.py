@@ -59,9 +59,7 @@ OpenSSL's ``_hashlib``: about 3.5 ms and 3.5 MB of a cold start.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
-
-from . import CodedError
+from . import CodedError, Record
 
 try:
     from _sha2 import sha256  # Python 3.12+
@@ -70,6 +68,10 @@ except ImportError:
         from _sha256 import sha256  # Python 3.10-3.11
     except ImportError:
         from hashlib import sha256
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Optional
 
 __all__ = [
     "CryptoError",
@@ -599,7 +601,7 @@ _BACKENDS = {"toy": _ToyGroup(), "secp256k1": _Secp256k1Group()}
 # ---------------------------------------------------------------------------
 
 
-class GroupParams(NamedTuple):
+class GroupParams(Record):
     """A group together with the two commitment generators ``P`` and ``Q``.
 
     ``tables`` holds the generators' precomputed rows for the secp256k1
@@ -632,27 +634,27 @@ class GroupParams(NamedTuple):
         return self.backend.elem_size
 
 
-class Commitment(NamedTuple):
+class Commitment(Record):
     """A Pedersen commitment: a single group element."""
 
     value: object
 
 
-class Opening(NamedTuple):
+class Opening(Record):
     """The witness of a commitment: message scalar ``m`` and blinding ``s``."""
 
     m: Scalar
     s: Scalar
 
 
-class EqProof(NamedTuple):
+class EqProof(Record):
     """Proof that two commitments hide the same message: ``(t, eta)``."""
 
     t: object
     eta: Scalar
 
 
-class NeqProof(NamedTuple):
+class NeqProof(Record):
     """Proof that two commitments hide different messages: ``(t, eta1, eta2)``."""
 
     t: object

@@ -35,13 +35,14 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Optional
 
-from . import CodedError
+from . import CodedError, Record
 from .ledger import Params, validate_params
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Callable, Iterable, Mapping, Optional
 
 __all__ = [
     "GameError",
@@ -71,7 +72,7 @@ class GameError(CodedError):
 # ---------------------------------------------------------------------------
 
 
-class Node(NamedTuple):
+class Node(Record):
     """One tree node: a decision point (player/info_set/children) or a
     terminal (utilities/label)."""
 
@@ -91,7 +92,7 @@ class Node(NamedTuple):
         return tuple(self.children) if self.children else ()
 
 
-class InfoSet(NamedTuple):
+class InfoSet(Record):
     set_id: str
     player: int
     nodes: tuple[str, ...]
@@ -266,7 +267,7 @@ _DELIVERIES = ("fx", "r", "other")
 _DECLINES = ("no_init", "no_collude")
 
 
-class _Family(NamedTuple):
+class _Family(Record):
     """A game family: which optional layers precede the 3x3 delivery block.
 
     ``cell(params, rho, i, j)`` gives the terminal utilities after report
@@ -387,7 +388,7 @@ def build_game(game_id: str, params: Params) -> Game:
 # ---------------------------------------------------------------------------
 
 
-class Assessment(NamedTuple):
+class Assessment(Record):
     """A behavior-strategy profile plus a belief system, both per info set."""
 
     profile: Mapping[str, Mapping[str, int | Fraction]]
@@ -505,7 +506,7 @@ _NODE_TIE_EXEMPT: dict[str, frozenset[tuple[str, str]]] = {
 }
 
 
-class NodeCheck(NamedTuple):
+class NodeCheck(Record):
     node_id: str
     action: str
     value: int | Fraction
@@ -513,7 +514,7 @@ class NodeCheck(NamedTuple):
     relation: str  # "worse" | "tie-exempt" | "tie" | "better"
 
 
-class InfoSetCheck(NamedTuple):
+class InfoSetCheck(Record):
     set_id: str
     player: int
     eq_value: int | Fraction
@@ -525,7 +526,7 @@ class InfoSetCheck(NamedTuple):
     node_checks: tuple[NodeCheck, ...]
 
 
-class RationalityReport(NamedTuple):
+class RationalityReport(Record):
     game_id: str
     weak_ok: bool
     strict_ok: bool
@@ -682,7 +683,7 @@ def check_consistency(game: Game, assessment: Assessment) -> tuple[tuple, ...]:
 # ---------------------------------------------------------------------------
 
 
-class AnalysisReport(NamedTuple):
+class AnalysisReport(Record):
     game: Game
     params_violations: tuple[str, ...]
     rationality: RationalityReport

@@ -17,9 +17,11 @@ holds none, and reference counting frees it with its contracts.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from . import CodedError, Record
 
-from . import CodedError
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Optional
 
 __all__ = [
     "Money",
@@ -38,14 +40,14 @@ class LedgerError(CodedError):
     """Monetary precondition failure."""
 
 
-class AccountId(NamedTuple):
+class AccountId(Record):
     """A named account; ``kind`` is one of ``external``, ``contract``, ``sink``."""
 
     id: str
     kind: str = "external"
 
 
-class Params(NamedTuple):
+class Params(Record):
     """The monetary parameters of one outsourcing engagement.
 
     w   payment per cloud for the computation

@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Iterator, NamedTuple, Optional
 
-from . import CodedError
+from . import CodedError, Record
 from .contracts import (
     CCState,
     ColludersContract,
@@ -52,6 +51,10 @@ from .crypto import (Commitment, CryptoError, EqProof, GroupParams, NeqProof, Op
                      digest, prove_eq, prove_neq, setup, sha256)
 from .gametheory import family_of, terminal_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Optional
 
 __all__ = [
     "Role",
@@ -94,13 +97,13 @@ class CtpAction(enum.Enum):
     WITHHOLD = "withhold"  # deliver nothing
 
 
-class CloudStrategy(NamedTuple):
+class CloudStrategy(Record):
     coalition_role: Role = Role.HONEST
     report_choice: ReportChoice = ReportChoice.NO_REPORT
     ctp_action: CtpAction = CtpAction.FX
 
 
-class Task(NamedTuple):
+class Task(Record):
     """The outsourced computation.
 
     ``iterated-hash``: y = SHA-256 applied ``rounds`` times to ``x`` (hex).
@@ -188,7 +191,7 @@ def _eval_arith(expr: str, x: int) -> int:
         raise ScenarioError("invalid-task", "expression nested too deeply") from exc
 
 
-class Schedule(NamedTuple):
+class Schedule(Record):
     """Contract deadlines: bid by T1, deliver by T2, settle by T3; coalition
     joining closes at T4 and its enforcement opens at T5."""
 
@@ -199,7 +202,7 @@ class Schedule(NamedTuple):
     T5: int = 35
 
 
-class Outcome(NamedTuple):
+class Outcome(Record):
     terminal_label: str
     game_family: str
     deltas: dict[str, Money]
@@ -312,7 +315,7 @@ _CLOUDS = (AccountId("cloud1"), AccountId("cloud2"))
 _COSTS = AccountId("costs", kind="sink")
 
 
-class _Engagement(NamedTuple):
+class _Engagement(Record):
     """What every play of one engagement shares, whatever the strategies:
     the checked parameters, task and schedule, the funding, the digests of
     the task's result and of the derived values (``_derive_distinct_values``),

@@ -1,11 +1,12 @@
 """The package's records, its contracts and what a cold start imports.
 
-Records are ``typing.NamedTuple`` classes: immutable, equal by value and,
-when every field is hashable, usable as dict keys.  Contracts are mutable
-and equal only to themselves.  A fresh interpreter that imports the CLI,
-analyzes a game on toy and runs a scenario on secp256k1 loads neither
-``dataclasses`` nor ``inspect``, nor ``ast``, ``fractions`` or
-``decimal``, nor ``hashlib`` where the interpreter builds its own SHA-256.
+Records are ``collections.namedtuple`` classes built by the package's
+``Record`` base: immutable, equal by value and, when every field is
+hashable, usable as dict keys.  Contracts are mutable and equal only to
+themselves.  A fresh interpreter that imports the CLI, analyzes a game on
+toy and runs a scenario on secp256k1 loads neither ``typing``, nor
+``dataclasses`` or ``inspect``, nor ``ast``, ``fractions`` or ``decimal``,
+nor ``hashlib`` where the interpreter builds its own SHA-256.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from countercollusion import cli, contracts, crypto, gametheory, ledger, protocol
+from countercollusion import Record, cli, contracts, crypto, gametheory, ledger, protocol
 from countercollusion.contracts import (
     ColludersContract,
     DisputeRecord,
@@ -99,6 +100,21 @@ SAMPLES = {
 #: Records the package uses as dict keys.
 DICT_KEYS = (AccountId, Params, CloudStrategy)
 
+#: The class-level defaults of each record that has any.
+DEFAULTS = {
+    AccountId: {"kind": "external"},
+    GroupParams: {"tables": crypto._NO_TABLES},
+    Node: dict.fromkeys(("player", "info_set", "children", "utilities", "label")),
+    CloudStrategy: {"coalition_role": Role.HONEST, "report_choice": ReportChoice.NO_REPORT,
+                    "ctp_action": CtpAction.FX},
+    Task: {"kind": "iterated-hash", "x": "00", "rounds": 2, "expr": "x", "cost": None},
+    Schedule: {"T1": 10, "T2": 20, "T3": 30, "T4": 15, "T5": 35},
+}
+
+#: Records whose class body has no docstring.
+UNDOCUMENTED = (InfoSet, NodeCheck, InfoSetCheck, RationalityReport, AnalysisReport,
+                CloudStrategy, Outcome)
+
 
 def _hashable(value) -> bool:
     try:
@@ -130,6 +146,58 @@ def test_record_behaviour(cls):
         assert {a: "found"}[b] == "found"
     else:
         assert cls not in DICT_KEYS and not _hashable(a)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
+def test_record_fields_defaults_and_names(cls):
+    fields = tuple(cls.__annotations__)
+    assert cls._fields == fields and cls.__match_args__ == fields
+    assert cls._field_defaults == DEFAULTS.get(cls, {})
+    assert cls.__qualname__ == cls.__name__
+    assert getattr(importlib.import_module(cls.__module__), cls.__qualname__) is cls
+    sample = SAMPLES[cls]()
+    assert repr(sample) == "%s(%s)" % (
+        cls.__name__, ", ".join(f"{name}={value!r}" for name, value in zip(fields, sample)))
+    generated = "%s(%s)" % (cls.__name__, ", ".join(fields))
+    assert (cls.__doc__ == generated) == (cls in UNDOCUMENTED)
+
+
+def test_record_builds_its_body_as_a_namedtuple():
+    class Point(Record):
+        """A point."""
+
+        x: int
+        y: NoSuchName = 0  # read as a string, never evaluated
+
+        @property
+        def norm(self) -> int:
+            return abs(self.x) + abs(self.y)
+
+    assert Point(3, -4).norm == 7 and Point(1) == (1, 0) == Point(x=1)
+    assert Point(1)._replace(y=2) == Point(1, 2) and repr(Point(1)) == "Point(x=1, y=0)"
+    assert Point.__annotations__ == {"x": "int", "y": "NoSuchName"}
+    assert Point.__doc__ == "A point." and Point.__module__ == __name__
+    assert Point.__qualname__ == "test_record_builds_its_body_as_a_namedtuple.<locals>.Point"
+    assert not issubclass(Point, Record)
+
+
+def test_record_rejects_a_field_without_default_after_one_with():
+    with pytest.raises(TypeError, match="field b without a default follows default field a$"):
+        class Bad(Record):
+            a: int = 1
+            b: int
+    with pytest.raises(TypeError, match="field c without a default follows default field b$"):
+        class Worse(Record):
+            a: int
+            b: int = 1
+            c: int
+            d: int = 2
+
+
+def test_record_rejects_a_field_named_with_an_underscore():
+    with pytest.raises(ValueError, match="underscore: '_a'"):
+        class Bad(Record):
+            _a: int
 
 
 def test_group_params_tables_compare_and_default():
@@ -200,6 +268,12 @@ def _loaded_at_cold_start(modules, tmp_path):
     out = subprocess.run([sys.executable, "-S", "-c", code, str(SRC), str(tmp_path)],
                          check=True, capture_output=True, text=True).stdout
     return out.strip()
+
+
+def test_cold_start_loads_no_typing(tmp_path):
+    """Records are built without ``typing.NamedTuple`` and every ``typing``
+    name is imported for type checkers only."""
+    assert _loaded_at_cold_start({"typing"}, tmp_path) == "[]"
 
 
 def test_cold_import_loads_no_code_generation(tmp_path):
