@@ -1,6 +1,8 @@
 """Pedersen commitments and Fiat-Shamir (in)equality proofs over prime-order groups.
 
-Two interchangeable backends share one additive-notation interface:
+Two interchangeable backends share one additive-notation interface, ``mul``,
+``diff``, ``is_member``, ``encode``/``decode`` and ``hash_to_group``, plus an
+``add`` that is there only for the benchmark's traced run:
 
 * ``toy`` -- the order-509 subgroup of quadratic residues of Z_1019^*.
   Small enough for exhaustive binding checks and hand-derived known-answer
@@ -136,16 +138,13 @@ class _ToyGroup:
         return 1
 
     def add(self, a: int, b: int) -> int:
+        """``a + b``.  Nothing in the package calls it; it stays because the
+        benchmark's traced run (``perfbench/spans.py``) wraps it."""
         return (a * b) % self.p
 
-    def neg(self, a: int) -> int:
-        return pow(a, self.p - 2, self.p)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    #: ``a - b`` as a ``mul`` base: on toy, ``sub``.
-    diff = sub
+    def diff(self, a: int, b: int) -> int:
+        """``a - b`` as a ``mul`` base."""
+        return a * pow(b, -1, self.p) % self.p
 
     def mul(self, k: int, a: int, *more: int, tables=_NO_TABLES) -> int:
         """``k*a + k2*a2 + ...`` for ``more = (k2, a2, ...)``; toy has no
@@ -238,41 +237,7 @@ class _Secp256k1Group:
         Z3 = (2 * Y * Z) % p
         return (X3, Y3, Z3)
 
-    def _jadd(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        p = self.p
-        X1, Y1, Z1 = a
-        X2, Y2, Z2 = b
-        Z1Z1 = (Z1 * Z1) % p
-        Z2Z2 = (Z2 * Z2) % p
-        U1 = (X1 * Z2Z2) % p
-        U2 = (X2 * Z1Z1) % p
-        S1 = (Y1 * Z2 * Z2Z2) % p
-        S2 = (Y2 * Z1 * Z1Z1) % p
-        H = (U2 - U1) % p
-        R = (S2 - S1) % p
-        if H == 0:
-            if R == 0:
-                return self._jdouble(a)
-            return None
-        H2 = (H * H) % p
-        H3 = (H * H2) % p
-        X3 = (R * R - H3 - 2 * U1 * H2) % p
-        Y3 = (R * (U1 * H2 - X3) - S1 * H3) % p
-        Z3 = (H * Z1 * Z2) % p
-        return (X3, Y3, Z3)
-
-    def _to_jac(self, pt):
-        if pt is None:
-            return None
-        return (pt[0], pt[1], 1)
-
     def _to_affine(self, pt):
-        if pt is None:
-            return None
         X, Y, Z = pt
         p = self.p
         zinv = pow(Z, -1, p)
@@ -282,26 +247,22 @@ class _Secp256k1Group:
     # -- group interface ----------------------------------------------------
 
     def add(self, a, b):
-        return self._to_affine(self._jadd(self._to_jac(a), self._to_jac(b)))
-
-    def neg(self, a):
-        if a is None:
-            return None
-        return (a[0], (-a[1]) % self.p)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        """``a + b``, by ``mul``.  Nothing in the package calls it; it stays
+        because the benchmark's traced run (``perfbench/spans.py``) wraps it."""
+        return self.mul(1, a, 1, b)
 
     def diff(self, a, b):
         """``a - b`` as a ``mul`` base: Jacobian ``(X, Y, Z)``, or ``None``
         for the identity.  ``mul`` makes it affine in the batch inversion
         of its rows, so the difference costs no inversion of its own.  Two
         affine points add by the affine+affine formula (4M+2S, the result's
-        ``Z`` is the difference of their ``x``), where ``_jadd`` would spend
-        16 multiplications on ``Z1 = Z2 = 1``."""
-        if a is None or b is None:
-            return self._to_jac(a if b is None else self.neg(b))
+        ``Z`` is the difference of their ``x``), where a general Jacobian
+        addition would spend 16 multiplications on ``Z1 = Z2 = 1``."""
         p = self.p
+        if b is None:
+            return None if a is None else (a[0], a[1], 1)
+        if a is None:
+            return (b[0], p - b[1], 1)
         x1, y1 = a
         H = (b[0] - x1) % p
         R = (-b[1] - y1) % p

@@ -482,6 +482,19 @@ def test_crypto_selftest_fails_on_an_accept_all_inequality_verifier(capsys, monk
     assert entry["forgery_accepts"] > entry["forgery_accept_bound"]
 
 
+#: SHA-256 of ``crypto-selftest --group both``'s stdout, frozen when the
+#: simulated inequality forgeries were built with ``sub``, so any change to a
+#: trial or a count shows here (toy ``forgery_accepts`` 7 of 3000, secp256k1 0
+#: of 200); CI checks it on every Python it runs
+CRYPTO_SELFTEST_DIGEST = "56b81979ddef863f8fba2a297dedf304a18e5298b1b8d2494b1ec229a8a535e6"
+
+
+def test_crypto_selftest_report_is_byte_identical(capsys):
+    assert main(["crypto-selftest", "--group", "both"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CRYPTO_SELFTEST_DIGEST
+
+
 def test_crypto_selftest_both_groups(capsys):
     code, report, _ = run_cli(capsys, "crypto-selftest")
     assert code == 0

@@ -328,7 +328,7 @@ def test_framing_arbiter_cannot_punish_an_honest_cloud_secp256k1():
     forgeries = [
         NeqProof(t=t, eta1=(a + 1) % q, eta2=(delta * (s2 - st) + e) % q),
         NeqProof(
-            t=g.mul(eta1, g.sub(c2.value, com_yt.value), eta2, gp.Q, -rng.randrange(q), gp.P),
+            t=g.mul(eta1, g.diff(c2.value, com_yt.value), eta2, gp.Q, -rng.randrange(q), gp.P),
             eta1=eta1, eta2=eta2,
         ),
     ]

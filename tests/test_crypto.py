@@ -14,6 +14,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,7 @@ from countercollusion.crypto import (
     _naf_digits,
     _prove,
 )
+from oracles import ref_add, ref_mul, ref_neg, ref_sub
 
 TOY = setup("toy", b"\x01")
 
@@ -306,16 +308,56 @@ def test_jacobi_symbol_is_eulers_criterion(data):
     assert _jacobi(a, n) == (-1 if euler == n - 1 else euler)
 
 
-def test_secp_group_laws():
-    backend = SECP.backend
-    a = backend.hash_to_group(b"law-a", b"\x00")
-    b = backend.hash_to_group(b"law-b", b"\x00")
-    assert backend.add(a, b) == backend.add(b, a)
-    assert backend.add(a, backend.identity) == a
-    assert backend.add(a, backend.neg(a)) is None
-    assert backend.mul(SECP.q, a) is None  # prime group order
+GROUPS = pytest.mark.parametrize("gp", [TOY, SECP], ids=["toy", "secp256k1"])
+
+
+@GROUPS
+def test_group_laws(gp):
+    """The laws hold on the reference ``ref_add``, and the backend's
+    ``add``, kept only for the benchmark's traced run, gives the same sum on
+    each case: commutativity, the identity, ``a + (-a)``, doubling as
+    ``(a + b) + (a - b)``, and ``k1*a + k2*a == (k1 + k2)*a`` on ``mul``'s
+    multiples."""
+    g = gp.backend
+    a = g.hash_to_group(b"law-a", b"\x00")
+    b = g.hash_to_group(b"law-b", b"\x00")
     k1, k2 = 123456789, 987654321
-    assert backend.add(backend.mul(k1, a), backend.mul(k2, a)) == backend.mul(k1 + k2, a)
+    cases = [
+        ((a, b), ref_add(gp, b, a)),
+        ((a, g.identity), a),
+        ((g.identity, a), a),
+        ((a, ref_neg(gp, a)), g.identity),
+        ((a, a), ref_add(gp, ref_add(gp, a, b), ref_sub(gp, a, b))),
+        ((g.mul(k1, a), g.mul(k2, a)), g.mul(k1 + k2, a)),
+    ]
+    for (x, y), expected in cases:
+        assert ref_add(gp, x, y) == expected
+        assert g.add(x, y) == expected
+    assert g.mul(gp.q, a) == g.identity  # prime group order
+
+
+@GROUPS
+def test_the_group_reference_reads_only_p_q_and_group_id(gp):
+    """A stand-in holding only ``group_id``, ``q`` and the backend's ``p``
+    gives the reference's answers on the real group."""
+    bare = SimpleNamespace(group_id=gp.group_id, q=gp.q, backend=SimpleNamespace(p=gp.backend.p))
+    a, b, k = gp.P, gp.Q, 0xC0FFEE
+    for ref, args in ((ref_add, (a, b)), (ref_neg, (a,)), (ref_sub, (a, b)), (ref_mul, (k, a))):
+        assert ref(bare, *args) == ref(gp, *args)
+
+
+def test_the_group_reference_catches_a_doubling_fault_the_kernel_shares(monkeypatch):
+    """A negative control: with the kernel's ``_jdouble`` returning ``4a``,
+    ``diff(a, -a)``, which doubles through it, reads ``4a``.  The reference
+    shares no code with the kernel, so it still gives ``2a`` and tells the
+    two apart; a reference built on ``_jdouble`` would read ``4a`` too."""
+    g = SECP.backend
+    a = g.hash_to_group(b"mutant-test", b"\x00")
+    real = type(g)._jdouble
+    monkeypatch.setattr(type(g), "_jdouble", lambda self, pt: real(self, real(self, pt)))
+    doubled = g._to_affine(g.diff(a, ref_neg(SECP, a)))
+    assert doubled == ref_mul(SECP, 4, a)
+    assert doubled != ref_add(SECP, a, a)
 
 
 def test_secp_proof_roundtrip_and_sizes():
@@ -377,32 +419,12 @@ def test_unknown_group_rejected():
 # Multi-scalar mul against the double-and-add reference
 # ---------------------------------------------------------------------------
 
-GROUPS = pytest.mark.parametrize("gp", [TOY, SECP], ids=["toy", "secp256k1"])
-
-
-def _ref_mul(gp, k, a):
-    """One term ``k*a``: one ``pow`` on toy, left-to-right double-and-add in
-    Jacobian coordinates on secp256k1."""
-    g = gp.backend
-    if gp.group_id == "toy":
-        return pow(a, k % g.q, g.p)
-    k %= g.q
-    if k == 0 or a is None:
-        return None
-    acc = None
-    base = g._to_jac(a)
-    for bit in bin(k)[2:]:
-        acc = g._jdouble(acc) if acc is not None else None
-        if bit == "1":
-            acc = g._jadd(acc, base)
-    return g._to_affine(acc)
-
-
 def _ref_sum(gp, terms):
-    """``k*a + k2*a2 + ...`` for ``terms = [k, a, k2, a2, ...]``, term by term."""
+    """``k*a + k2*a2 + ...`` for ``terms = [k, a, k2, a2, ...]``, term by
+    term on the group reference."""
     acc = gp.backend.identity
     for k, a in zip(terms[::2], terms[1::2]):
-        acc = gp.backend.add(acc, _ref_mul(gp, k, a))
+        acc = ref_add(gp, acc, ref_mul(gp, k, a))
     return acc
 
 
@@ -434,7 +456,7 @@ def _scalars(q):
 
 def _elements(gp):
     g = gp.backend
-    fixed = [g.identity, gp.P, gp.Q, g.neg(gp.P)]
+    fixed = [g.identity, gp.P, gp.Q, ref_neg(gp, gp.P)]
     hashed = st.binary(max_size=4).map(lambda seed: g.hash_to_group(b"mul-test", seed))
     return st.one_of(st.sampled_from(fixed), hashed)
 
@@ -490,10 +512,10 @@ def test_mul_cancelling_and_repeated_bases(gp, data):
     j = data.draw(_scalars(gp.q))
     a = data.draw(_elements(gp))
     for mul in _entries(gp):
-        assert mul(k, a, k, g.neg(a)) == g.identity
+        assert mul(k, a, k, ref_neg(gp, a)) == g.identity
         assert mul(k, a, -k, a) == g.identity
-        assert mul(k, a, k, a) == _ref_mul(gp, 2 * k, a)
-        assert mul(k, a, j, a, -k, a) == _ref_mul(gp, j, a)
+        assert mul(k, a, k, a) == ref_mul(gp, 2 * k, a)
+        assert mul(k, a, j, a, -k, a) == ref_mul(gp, j, a)
 
 
 @GROUPS
@@ -519,10 +541,10 @@ def test_generator_tables_hold_odd_multiples_and_their_lambda_images(which):
     assert width == _FIXED_WIDTH == 8
     assert len(row) == len(lambda_row) == 2 ** (width - 1)
     for d in range(-(2 ** (width - 1)) + 1, 2 ** (width - 1), 2):
-        entry = _ref_mul(SECP, d, base)
+        entry = ref_mul(SECP, d, base)
         assert row[d >> 1] == entry
         assert lambda_row[d >> 1] == (_GLV_BETA * entry[0] % SECP.backend.p, entry[1])
-    assert lambda_row[0] == _ref_mul(SECP, _GLV_LAMBDA, base)
+    assert lambda_row[0] == ref_mul(SECP, _GLV_LAMBDA, base)
 
 
 def test_per_call_rows_of_a_jacobian_base_hold_both_signs():
@@ -531,13 +553,13 @@ def test_per_call_rows_of_a_jacobian_base_hold_both_signs():
     affine."""
     g = SECP.backend
     other = g.hash_to_group(b"rows-test", b"\x00")
-    d_affine, jac = g.sub(SECP.P, other), g.diff(SECP.P, other)
+    d_affine, jac = ref_sub(SECP, SECP.P, other), g.diff(SECP.P, other)
     assert len(jac) == 3 and jac[2] != 1
     (width, row, lambda_row), = g._odd_multiples([jac], _WNAF_WIDTH)
     assert width == _WNAF_WIDTH and len(row) == len(lambda_row) == 16
     for d in range(-15, 16, 2):
-        assert row[d >> 1] == _ref_mul(SECP, d, d_affine)
-        assert lambda_row[d >> 1] == _ref_mul(SECP, d * _GLV_LAMBDA, d_affine)
+        assert row[d >> 1] == ref_mul(SECP, d, d_affine)
+        assert lambda_row[d >> 1] == ref_mul(SECP, d * _GLV_LAMBDA, d_affine)
 
 
 def _row_bases(data):
@@ -546,12 +568,12 @@ def _row_bases(data):
     branch), each with its affine point."""
     g = SECP.backend
     nonzero = st.one_of(st.sampled_from([1, 2, SECP.q - 1]), st.integers(1, SECP.q - 1))
-    bases = [(a, a) for a in (_ref_mul(SECP, k, SECP.P)
+    bases = [(a, a) for a in (ref_mul(SECP, k, SECP.P)
                               for k in data.draw(st.lists(nonzero, min_size=1, max_size=2)))]
     for k, j in data.draw(st.lists(st.tuples(nonzero, st.none() | nonzero), max_size=2)):
-        a = _ref_mul(SECP, k, SECP.P)
-        b = g.neg(a) if j is None else _ref_mul(SECP, j, SECP.Q)
-        bases.append((g.diff(a, b), g.sub(a, b)))
+        a = ref_mul(SECP, k, SECP.P)
+        b = ref_neg(SECP, a) if j is None else ref_mul(SECP, j, SECP.Q)
+        bases.append((g.diff(a, b), ref_sub(SECP, a, b)))
     return data.draw(st.permutations(bases))
 
 
@@ -569,10 +591,10 @@ def test_odd_multiples_match_double_and_add(w, data):
     for (_, a), (width, row, lambda_row) in zip(bases, rows):
         assert width == w and len(row) == len(lambda_row) == 2 ** (w - 1)
         for d in range(1, 2 ** (w - 1), 2):
-            entry = _ref_mul(SECP, d, a)
-            assert row[d >> 1] == entry and row[-d >> 1] == g.neg(entry)
+            entry = ref_mul(SECP, d, a)
+            assert row[d >> 1] == entry and row[-d >> 1] == ref_neg(SECP, entry)
             image = (_GLV_BETA * entry[0] % p, entry[1])
-            assert lambda_row[d >> 1] == image and lambda_row[-d >> 1] == g.neg(image)
+            assert lambda_row[d >> 1] == image and lambda_row[-d >> 1] == ref_neg(SECP, image)
 
 
 def _count_inversions(monkeypatch) -> list:
@@ -658,11 +680,11 @@ def test_glv_constants():
 @pytest.mark.parametrize("which", ["P", "Q", "-P", "hashed-0", "hashed-1", "hashed-2"])
 def test_glv_endomorphism_is_beta_times_x(which):
     g = SECP.backend
-    a = {"P": SECP.P, "Q": SECP.Q, "-P": g.neg(SECP.P)}.get(which)
+    a = {"P": SECP.P, "Q": SECP.Q, "-P": ref_neg(SECP, SECP.P)}.get(which)
     if a is None:
         a = g.hash_to_group(b"glv-test", which.encode())
     expected = (_GLV_BETA * a[0] % g.p, a[1])
-    assert _ref_mul(SECP, _GLV_LAMBDA, a) == expected
+    assert ref_mul(SECP, _GLV_LAMBDA, a) == expected
     assert g.mul(_GLV_LAMBDA, a) == expected
 
 
@@ -706,8 +728,8 @@ def _ref_verify_eq(gp, c1, c2, proof) -> bool:
     if not isinstance(proof.eta, int) or not 0 <= proof.eta < gp.q:
         return False
     delta = _challenge(gp, EQ_TAG, c1.value, c2.value, proof.t)
-    lhs = _ref_mul(gp, proof.eta, gp.Q)
-    rhs = g.add(_ref_mul(gp, delta, g.sub(c1.value, c2.value)), proof.t)
+    lhs = ref_mul(gp, proof.eta, gp.Q)
+    rhs = ref_add(gp, ref_mul(gp, delta, ref_sub(gp, c1.value, c2.value)), proof.t)
     return lhs == rhs
 
 
@@ -721,9 +743,9 @@ def _ref_verify_neq(gp, c1, c2, proof) -> bool:
         if not isinstance(eta, int) or not 0 <= eta < gp.q:
             return False
     delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, proof.t)
-    diff = g.sub(c1.value, c2.value)
-    lhs = g.add(_ref_mul(gp, proof.eta1, diff), _ref_mul(gp, proof.eta2, gp.Q))
-    return lhs == g.add(_ref_mul(gp, delta, gp.P), proof.t)
+    diff = ref_sub(gp, c1.value, c2.value)
+    lhs = ref_add(gp, ref_mul(gp, proof.eta1, diff), ref_mul(gp, proof.eta2, gp.Q))
+    return lhs == ref_add(gp, ref_mul(gp, delta, gp.P), proof.t)
 
 
 def _old_recipe_forgeries(gp, c1, c2, s1, s2, rng) -> list[NeqProof]:
@@ -732,12 +754,11 @@ def _old_recipe_forgeries(gp, c1, c2, s1, s2, rng) -> list[NeqProof]:
     ``t2 = P + e*Q``, ``eta1 = a + 1``, ``eta2 = delta*(s1 - s2) + e``),
     packed into the one-element layout with ``t`` as ``t1 + t2``, ``t1`` or
     ``t2``."""
-    g = gp.backend
     a, e = rng.randrange(gp.q), rng.randrange(gp.q)
-    t1 = _ref_mul(gp, a, gp.P)
-    t2 = g.add(gp.P, _ref_mul(gp, e, gp.Q))
+    t1 = ref_mul(gp, a, gp.P)
+    t2 = ref_add(gp, gp.P, ref_mul(gp, e, gp.Q))
     forged = []
-    for t in (g.add(t1, t2), t1, t2):
+    for t in (ref_add(gp, t1, t2), t1, t2):
         delta = _challenge(gp, NEQ_TAG, c1.value, c2.value, t)
         forged.append(NeqProof(t=t, eta1=(a + 1) % gp.q, eta2=(delta * (s1 - s2) + e) % gp.q))
     return forged
@@ -747,7 +768,7 @@ def _simulated_neq(gp, c1, c2, delta, rng) -> NeqProof:
     """A proof that meets the verification equation for a challenge chosen
     before ``t``: ``t = eta1*(C1 - C2) + eta2*Q - delta*P``."""
     eta1, eta2 = rng.randrange(gp.q), rng.randrange(gp.q)
-    diff = gp.backend.sub(c1.value, c2.value)
+    diff = ref_sub(gp, c1.value, c2.value)
     return NeqProof(t=_ref_sum(gp, [eta1, diff, eta2, gp.Q, -delta, gp.P]), eta1=eta1, eta2=eta2)
 
 
@@ -833,7 +854,7 @@ def _verdict_cases(gp, rng):
     # hide m and -m
     zero1, zero2 = commit(gp, 0, s1), commit(gp, 0, -s1)
     minus_c1 = commit(gp, -m, -s1)
-    assert zero2.value == g.neg(zero1.value) and minus_c1.value == g.neg(c1.value)
+    assert zero2.value == ref_neg(gp, zero1.value) and minus_c1.value == ref_neg(gp, c1.value)
     eq_doubled = prove_eq(gp, zero1, zero2, Opening(0, s1), Opening(0, -s1), rng)
     neq_doubled = prove_neq(gp, c1, minus_c1, Opening(m, s1), Opening(-m, -s1), rng)
     # C1 == C2 with zero nonces: t and eta are the identity and 0
@@ -844,12 +865,12 @@ def _verdict_cases(gp, rng):
     assert eq_zero_t.t == neq_zero_t.t == ident
 
     def moved(c):
-        return Commitment(g.add(c.value, gp.P))
+        return Commitment(ref_add(gp, c.value, gp.P))
 
     eqs = [
         (c1, c1b, eq),
         (c1, c1b, EqProof(eq.t, (eq.eta + 1) % q)),
-        (c1, c1b, EqProof(g.add(eq.t, gp.P), eq.eta)),
+        (c1, c1b, EqProof(ref_add(gp, eq.t, gp.P), eq.eta)),
         (c1, c1b, EqProof(ident, eq.eta)),
         (moved(c1), c1b, eq),
         (c1, moved(c1b), eq),
@@ -870,7 +891,7 @@ def _verdict_cases(gp, rng):
         (c1, c2, NeqProof(neq.t, (neq.eta1 + 1) % q, neq.eta2)),
         (c1, c2, NeqProof(neq.t, neq.eta1, (neq.eta2 + 1) % q)),
         (c1, c2, NeqProof(neq.t, neq.eta2, neq.eta1)),
-        (c1, c2, NeqProof(g.add(neq.t, gp.P), neq.eta1, neq.eta2)),
+        (c1, c2, NeqProof(ref_add(gp, neq.t, gp.P), neq.eta1, neq.eta2)),
         (c1, c2, NeqProof(ident, neq.eta1, neq.eta2)),
         (moved(c1), c2, neq),
         (c1, moved(c2), neq),
