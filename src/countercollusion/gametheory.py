@@ -59,7 +59,7 @@ __all__ = [
     "analyze_reference",
     "payoff_crosscheck",
     "terminal_label",
-    "family_of",
+    "play_label",
     "GAME_IDS",
 ]
 
@@ -258,13 +258,16 @@ def _coalition_report_cell(p: Params, rho: int, i: int, j: int) -> tuple[int, in
 # The layered model: one family table, one builder
 # ---------------------------------------------------------------------------
 
-_INITIATE = ("no_init", "init")
-_COLLUDE = ("no_collude", "collude")
-_REPORTS = ("no_report", "report_correct", "report_wrong")
-_DELIVERIES = ("fx", "r", "other")
-# declining a coalition offer ends the game in the family without the
-# coalition prefix, with both clouds delivering the true result
-_DECLINES = ("no_init", "no_collude")
+# The move table: per layer, the ``CloudStrategy`` field its actions set and
+# the value each gives it.  A coalition layer's first action declines.
+_INITIATE = ("coalition_role", {"no_init": "honest", "init": "initiate"})
+_COLLUDE = ("coalition_role", {"no_collude": "reject", "collude": "accept"})
+_REPORTS = ("report_choice", {a: a for a in ("no_report", "report_correct", "report_wrong")})
+_DELIVERIES = ("ctp_action", {a: a for a in ("fx", "r", "other")})
+#: ``(field, value)`` -> the action a strategy plays; withholding plays ``other``
+_ACTION_OF = {(field, value): action
+              for field, moves in (_INITIATE, _COLLUDE, _REPORTS, _DELIVERIES)
+              for action, value in moves.items()} | {("ctp_action", "withhold"): "other"}
 
 
 class _Family(Record):
@@ -283,8 +286,8 @@ class _Family(Record):
     equilibrium: tuple[str, ...]
 
     @property
-    def layers(self) -> tuple[tuple[int, tuple[str, ...]], ...]:
-        """``(player, actions)`` per layer, in order of play."""
+    def layers(self) -> tuple[tuple[int, tuple[str, dict[str, str]]], ...]:
+        """``(player, (field, moves))`` per layer, in order of play."""
         coalition = ((1, _INITIATE), (2, _COLLUDE)) if self.coalition else ()
         report = ((2, _REPORTS),) if self.report else ()
         return coalition + report + ((1, _DELIVERIES), (2, _DELIVERIES))
@@ -301,14 +304,8 @@ _FAMILIES = {
 
 GAME_IDS = tuple(_FAMILIES)
 
-#: ``(coalition, report)`` -> the id and the role names of that family
-_FAMILY_OF = {(f.coalition, f.report): (g, f.roles) for g, f in _FAMILIES.items()}
-
-
-def family_of(coalition: bool, report: bool) -> tuple[str, tuple[str, str]]:
-    """The id and the role names of the family with (or without) the
-    coalition prefix and the report layer."""
-    return _FAMILY_OF[coalition, report]
+#: ``(coalition, report)`` -> the id of that family
+_FAMILY_OF = {(f.coalition, f.report): g for g, f in _FAMILIES.items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -328,18 +325,18 @@ def _layout(game_id: str):
     cells: dict[str, tuple[int, ...]] = {"v0": ()}  # report and delivery indices so far
     children_of: dict[str, dict[str, str]] = {}
     terminals: dict[str, Optional[tuple[int, ...]]] = {}
-    for depth, (_, actions) in enumerate(layers):
-        last = depth == len(layers) - 1
+    for depth, (_, (field, moves)) in enumerate(layers):
+        last, coalition = depth == len(layers) - 1, field == "coalition_role"
         for nid in [n for layer, members in groups if layer == depth for n in members]:
             children = children_of[nid] = {}
-            for k, action in enumerate(actions):
-                if action in _DECLINES:
+            for k, action in enumerate(moves):
+                if coalition and k == 0:  # declining ends the game
                     children[action] = child = f"u{next(u_ids)}"
                     terminals[child] = None
                     continue
                 children[action] = child = f"v{next(v_ids)}"
                 # accepting a coalition move leaves the payoff cell open
-                cells[child] = cells[nid] if actions[0] in _DECLINES else cells[nid] + (k,)
+                cells[child] = cells[nid] if coalition else cells[nid] + (k,)
                 if last:  # rho is 0 without a report layer
                     terminals[child] = (0,) * (3 - len(cells[child])) + cells[child]
             if not last:
@@ -349,10 +346,10 @@ def _layout(game_id: str):
     decisions: dict[str, Node] = {}
     info_sets: dict[str, InfoSet] = {}
     for depth, members in groups:
-        player, actions = layers[depth]
+        player, (_, moves) = layers[depth]
         numbered[player] += 1
         set_id = f"I{player}.{numbered[player]}" if owned[player] > 1 else f"I{player}"
-        info_sets[set_id] = InfoSet(set_id, player, members, actions)
+        info_sets[set_id] = InfoSet(set_id, player, members, tuple(moves))
         for nid in members:
             decisions[nid] = Node(nid, player=player, info_set=set_id, children=children_of[nid])
     return decisions, info_sets, terminals
@@ -360,18 +357,31 @@ def _layout(game_id: str):
 
 def terminal_label(game_id: str, path: Iterable[str]) -> str:
     """Label of the terminal that the actions of ``path``, in order of play,
-    reach from the root of the family ``game_id``."""
+    reach from the root of the family ``game_id``; any after a decline are moot."""
     decisions, nid = _layout(game_id)[0], "v0"
     for action in path:
-        nid = decisions[nid].children[action]
+        if nid in decisions:
+            nid = decisions[nid].children[action]
     return f"{game_id.upper()}:{nid}"
+
+
+@functools.lru_cache(maxsize=None)
+def play_label(coalition: bool, report: bool, strategies) -> tuple[str, tuple[str, str]]:
+    """The terminal label and role names of a play in the family with (or
+    without) the coalition prefix and the report layer: each layer plays the
+    action that the field of its player's strategy (of the pair ``strategies``)
+    maps to.  Cached: every crosscheck asks again for the same plays."""
+    game_id = _FAMILY_OF[coalition, report]
+    path = [_ACTION_OF[field, getattr(strategies[player - 1], field).value]
+            for player, (field, _) in _FAMILIES[game_id].layers]
+    return terminal_label(game_id, path), _FAMILIES[game_id].roles
 
 
 def build_game(game_id: str, params: Params) -> Game:
     if game_id not in _FAMILIES:
         raise GameError("unknown-game", f"no game {game_id!r}")
     family, (decisions, info_sets, terminals) = _FAMILIES[game_id], _layout(game_id)
-    plain = family_of(False, family.report)[0]
+    plain = _FAMILY_OF[False, family.report]
     nodes = dict(decisions)
     for nid, cell in terminals.items():
         if cell is None:
@@ -738,26 +748,22 @@ def analyze_reference(game_id: str, params: Params) -> AnalysisReport:
 def _scenario_grid(game: Game):
     """Yield ``(terminal node id, strat1, strat2, traitor_enabled)`` covering
     every terminal of the game with a concrete protocol scenario: each action
-    on the path from the root sets one field of its player's strategy."""
-    from .protocol import CloudStrategy, CtpAction, ReportChoice, Role
+    on the path from the root sets its player's strategy by the move table."""
+    from .protocol import CloudStrategy
 
-    coalition_roles = {"no_init": Role.HONEST, "init": Role.INITIATE,
-                       "no_collude": Role.REJECT, "collude": Role.ACCEPT}
-    traitor_enabled = _FAMILIES[game.game_id].report
+    family, defaults = _FAMILIES[game.game_id], CloudStrategy._field_defaults
+    # each action's value as its field's enum member
+    layers = [(player - 1, field, {a: type(defaults[field])(v) for a, v in moves.items()})
+              for player, (field, moves) in family.layers]
     for terminal in game.terminals():
-        fields: dict[int, dict] = {1: {}, 2: {}}
-        nid = terminal.node_id
+        path, nid, fields = [], terminal.node_id, ({}, {})
         while nid in game.parents:
             nid, action = game.parents[nid]
-            chosen = fields[game.nodes[nid].player]
-            if action in coalition_roles:
-                chosen["coalition_role"] = coalition_roles[action]
-            elif action in _REPORTS:
-                chosen["report_choice"] = ReportChoice(action)
-            else:
-                chosen["ctp_action"] = CtpAction(action)
-        yield (terminal.node_id, CloudStrategy(**fields[1]), CloudStrategy(**fields[2]),
-               traitor_enabled)
+            path.insert(0, action)
+        for (player, field, members), action in zip(layers, path):
+            fields[player][field] = members[action]
+        yield (terminal.node_id, CloudStrategy(**fields[0]), CloudStrategy(**fields[1]),
+               family.report)
 
 
 def payoff_crosscheck(game: Game, gp, seed: int = 7) -> tuple[int, list[dict]]:

@@ -49,7 +49,7 @@ from .contracts import (
 )
 from .crypto import (Commitment, CryptoError, EqProof, GroupParams, NeqProof, Opening, commit,
                      digest, prove_eq, prove_neq, setup, sha256)
-from .gametheory import family_of, terminal_label
+from .gametheory import play_label
 from .ledger import AccountId, Ledger, Money, Params, validate_params
 
 TYPE_CHECKING = False
@@ -220,7 +220,18 @@ def _derive_distinct_values(gp, task: Task, seed: int) -> dict[str, int]:
     """Derive the shared cheap result ``r`` and per-cloud wrong values so all
     committed digests are pairwise distinct (required so other-vs-other
     mismatches stay mismatches even in the toy group).  Returns the digest
-    of the task's result ``y_true`` and of each derived value, by name."""
+    of the task's result ``y_true`` and of each derived value, by name.
+
+    The contracts compare commitments by value, so the same must hold one
+    level down, for the commitments themselves.  In the toy group a fresh
+    blinding can make a delivery equal a commitment already public that
+    hides another message: a delivery of ``f(x)`` equal to the ``com_r``
+    registered in a coalition contract counts there as conforming.  So
+    ``_settle_play`` moves a delivery's fresh blinding up by one, drawing
+    nothing, while its commitment equals ``com_f``, ``com_x``, a coalition's
+    or a decoy's ``com_r``, ``com_yprime`` or the other delivery, and that
+    commitment hides another message.  On secp256k1 a hit would be a
+    discrete logarithm, so the blinding never moves there."""
     digests = {"y_true": digest(gp, task.evaluate())}
     for name in ("r", "other1", "other2", "ywrong"):
         counter = 0
@@ -319,8 +330,9 @@ class _Engagement(Record):
     """What every play of one engagement shares, whatever the strategies:
     the checked parameters, task and schedule, the funding, the digests of
     the task's result and of the derived values (``_derive_distinct_values``),
-    the two commitments the outsourcing contract is created with, and every
-    commitment its plays have made, by ``(message, blinding)``."""
+    the two commitments the outsourcing contract is created with and the
+    message each hides, and every commitment its plays have made, by
+    ``(message, blinding)``."""
 
     params: Params
     task: Task
@@ -332,6 +344,7 @@ class _Engagement(Record):
     digests: dict[str, int]
     com_f: Commitment
     com_x: Commitment
+    public: dict[Commitment, int]
     commitments: dict[tuple[int, int], Commitment]
 
     def commit(self, m: int, s: int) -> Commitment:
@@ -359,10 +372,10 @@ def _engage(params: Params, task: Task, gp: GroupParams, seed: int,
     digests = _derive_distinct_values(gp, task, seed)
     # the first two draws of the play's stream: ``_open_play`` skips them
     rng = random.Random(seed)
-    com_f = commit(gp, digest(gp, task.description_bytes()), rng.randrange(gp.q))
-    com_x = commit(gp, digest(gp, task.input_bytes()), rng.randrange(gp.q))
+    m_f, m_x = digest(gp, task.description_bytes()), digest(gp, task.input_bytes())
+    com_f, com_x = commit(gp, m_f, rng.randrange(gp.q)), commit(gp, m_x, rng.randrange(gp.q))
     return _Engagement(params, task, gp, seed, sched, task_cost, funding, digests, com_f, com_x,
-                       {})
+                       {com_f: m_f, com_x: m_x}, {})
 
 
 def run_scenario(
@@ -464,6 +477,8 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
     # both parties learn r and the two blindings off-chain when the offer is made
     s_r = {clouds[0]: rng.randrange(gp.q), clouds[1]: rng.randrange(gp.q)}
     com_r = {cl: eng.commit(digests["r"], s_r[cl]) for cl in clouds} if coalition_attempt else {}
+    # the message of each commitment made public before the deliveries
+    public = {**eng.public, **dict.fromkeys(com_r.values(), digests["r"])}
     ctc: Optional[ColludersContract] = None
     ledger.advance_time(1)
     if coalition_attempt:
@@ -488,10 +503,11 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
             # fabricate a decoy coalition contract to have something to report;
             # the client cannot tell it from a genuine offer
             peer = clouds[1 - clouds.index(reporter)]
+            decoy = [eng.commit(digests["r"], rng.randrange(gp.q)) for _ in clouds]
+            public.update(dict.fromkeys(decoy, digests["r"]))
             reported_ctc = ColludersContract.create(
                 ledger, ctp, reporter, peer, t, b, sched.T4, sched.T5,
-                com_r_creator=eng.commit(digests["r"], rng.randrange(gp.q)),
-                com_r_other=eng.commit(digests["r"], rng.randrange(gp.q)),
+                com_r_creator=decoy[0], com_r_other=decoy[1],
             )
         ctt = TraitorsContract.create(ledger, ctp, reported_ctc, client, reporter)
         ctt.join(reporter)
@@ -516,12 +532,13 @@ def _open_play(eng: _Engagement, strat1: CloudStrategy, strat2: CloudStrategy,
             m_prime = digests["ywrong"]
         o_prime = Opening(m_prime, rng.randrange(gp.q))
         ctt.deliver(reporter, eng.commit(o_prime.m, o_prime.s))
+        public[ctt.com_yprime] = m_prime
     # the settlement draws at most one blinding per cloud, the stream's next two
     blindings = (rng.randrange(gp.q), rng.randrange(gp.q))
     return _Opening(ledger=ledger, ctp=ctp, ctc=ctc, ctt=ctt, traitor_enabled=traitor_enabled,
                     responder=responder, reporter=reporter, coalition_formed=coalition_formed,
                     com_r=com_r, s_r=s_r, o_prime=o_prime, computed=computed,
-                    blindings=blindings)
+                    blindings=blindings, public=public)
 
 
 def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: CloudStrategy,
@@ -532,7 +549,7 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
     gp, sched, client, clouds, digests = eng.gp, eng.schedule, _CLIENT, _CLOUDS, eng.digests
     ledger, ctp, ctc, ctt = opening.ledger, opening.ctp, opening.ctc, opening.ctt
     reporter, strategies = opening.reporter, {clouds[0]: strat1, clouds[1]: strat2}
-    blindings = iter(opening.blindings)
+    blindings, public = iter(opening.blindings), dict(opening.public)
 
     # --- deliveries in the outsourcing contract at t=5 ------------------------
     ledger.advance_time(1)
@@ -553,6 +570,10 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
                           else f"other{idx + 1}"]
             s_y = next(blindings)
             com_y = eng.commit(m_y, s_y)
+            # never a public commitment to another message: see _derive_distinct_values
+            while public.setdefault(com_y, m_y) != m_y:
+                s_y = (s_y + 1) % gp.q
+                com_y = eng.commit(m_y, s_y)
         ctp.deliver(cloud, com_y)
         y_openings[cloud] = Opening(m_y, s_y)
 
@@ -591,21 +612,15 @@ def _settle_play(eng: _Engagement, prover: Prover, opening: _Opening, strat1: Cl
 
     deltas = {acct.id: ledger.balance(acct) - funded for acct, funded in eng.funding.items()}
 
-    # the game has a coalition prefix iff a coalition formed and a report
-    # layer iff the traitor module is on; player 2 is the responder, else the
-    # reporter, else cloud2 by convention.  The path played: the coalition
-    # moves, player 2's report, then both deliveries, ``withhold`` as ``other``
-    game_id, role_names = family_of(opening.coalition_formed, opening.traitor_enabled)
+    # player 2 is the responder, else the reporter, else cloud2 by convention,
+    # so any report the client accepted is player 2's
     second = opening.responder if opening.coalition_formed else reporter or clouds[1]
     players = (clouds[1 - clouds.index(second)], second)
-    path = ["init", "collude"] if opening.coalition_formed else []
-    if opening.traitor_enabled:
-        path.append(strategies[reporter].report_choice.value if reporter else "no_report")
-    actions = [strategies[cl].ctp_action for cl in players]
-    path += [CtpAction.OTHER.value if a is CtpAction.WITHHOLD else a.value for a in actions]
+    label, role_names = play_label(opening.coalition_formed, opening.traitor_enabled,
+                                   tuple(strategies[cl] for cl in players))
     return Outcome(
-        terminal_label=terminal_label(game_id, path),
-        game_family=game_id.upper(),
+        terminal_label=label,
+        game_family=label.partition(":")[0],
         deltas=deltas,
         roles={cl.id: role for cl, role in zip(players, role_names)},
         transcript=tuple(ledger.log),

@@ -230,6 +230,7 @@ def test_each_family_is_laid_out_once_per_process(capsys):
     crosscheck label) and g3 (the label its declined offers share) once
     each; a second ``analyze`` lays out nothing."""
     gametheory._layout.cache_clear()
+    gametheory.play_label.cache_clear()
     for _ in range(2):
         code, report, _ = run_cli(capsys, "analyze", "--game", "g4")
         assert report["crosscheck"] == {"cells": 29, "mismatches": []}

@@ -563,14 +563,16 @@ def test_per_call_rows_of_a_jacobian_base_hold_both_signs():
 
 
 def _row_bases(data):
-    """One to four ``_odd_multiples`` bases in drawn order: affine ``k*P``,
+    """Two to five ``_odd_multiples`` bases in drawn order: affine ``k*P``,
     and Jacobian ``diff(k*P, j*Q)`` or ``diff(k*P, -k*P)`` (the doubling
-    branch), each with its affine point."""
+    branch), each with its affine point.  One base is always a doubling, so
+    every example builds a row from that branch."""
     g = SECP.backend
     nonzero = st.one_of(st.sampled_from([1, 2, SECP.q - 1]), st.integers(1, SECP.q - 1))
     bases = [(a, a) for a in (ref_mul(SECP, k, SECP.P)
                               for k in data.draw(st.lists(nonzero, min_size=1, max_size=2)))]
-    for k, j in data.draw(st.lists(st.tuples(nonzero, st.none() | nonzero), max_size=2)):
+    jacobian = data.draw(st.lists(st.tuples(nonzero, st.none() | nonzero), max_size=2))
+    for k, j in [(data.draw(nonzero), None), *jacobian]:
         a = ref_mul(SECP, k, SECP.P)
         b = ref_neg(SECP, a) if j is None else ref_mul(SECP, j, SECP.Q)
         bases.append((g.diff(a, b), ref_sub(SECP, a, b)))

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from countercollusion import contracts, crypto, protocol
@@ -36,10 +36,11 @@ from countercollusion.gametheory import (
     outcome_distribution,
     payoff_crosscheck,
     play,
+    play_label,
     reference_equilibrium,
     terminal_label,
 )
-from countercollusion.gametheory import _node_values, _scenario_grid
+from countercollusion.gametheory import _FAMILIES, _node_values, _scenario_grid
 from countercollusion.ledger import Params, validate_params
 from oracles import (
     assessment_distance,
@@ -92,6 +93,21 @@ def test_terminal_label_follows_the_actions_from_the_root(gid):
             assert terminal.label == ("G3:v13" if gid == "g4" else "G1:v4")
         else:
             assert terminal.label == terminal_label(gid, path)
+
+
+@pytest.mark.parametrize("gid", GAMES)
+def test_the_move_table_maps_each_terminal_to_strategies_and_back(gid):
+    """The strategies ``_scenario_grid`` gives a terminal play back to it:
+    ``play_label`` names the terminal and the family's role names, and a
+    withheld delivery plays as ``other``."""
+    family, game = _FAMILIES[gid], build_game(gid, BASE)
+    other, withhold = protocol.CtpAction.OTHER, protocol.CtpAction.WITHHOLD
+    for nid, s1, s2, _ in _scenario_grid(game):
+        label = (f"{gid.upper()}:{nid}", family.roles)
+        assert play_label(family.coalition, family.report, (s1, s2)) == label
+        withheld = tuple(s._replace(ctp_action=withhold) if s.ctp_action is other else s
+                         for s in (s1, s2))
+        assert play_label(family.coalition, family.report, withheld) == label
 
 
 def test_unknown_game_rejected():
@@ -999,14 +1015,28 @@ def _check_forked_cells(monkeypatch, game, gp, seed):
 def test_forked_cells_equal_fresh_runs(monkeypatch, gid, seed, t):
     """Each cell settles a fork of its group's opening with the proofs of
     one shared prover; its whole outcome, transcript and clauses included,
-    is the one a fresh run gives.  At ``t=314`` seed 59 collides in the toy
-    group on g2 and g4, and the crosscheck reports exactly the cell-by-cell
+    is the one a fresh run gives.  At ``t=314`` seed 59 draws, in the toy
+    group, a delivery blinding that would commit ``f(x)`` to the coalition's
+    ``com_r`` on g2 and g4; the delivery moves off it, and no cell
     mismatches."""
     game, gp = build_game(gid, BASE._replace(t=t)), setup("toy")
     fresh, mismatches = _check_forked_cells(monkeypatch, game, gp, seed)
     assert payoff_crosscheck(game, gp, seed) == (len(fresh), mismatches)
     if (seed, t) == (59, 314) and gid in ("g2", "g4"):
-        assert mismatches
+        assert mismatches == []
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(seed=59)
+@example(seed=113)
+def test_no_toy_crosscheck_seed_mismatches(seed):
+    """No scenario seed makes a commitment of a play equal a public one to
+    another message, so the toy crosscheck of g2 and g4 (where one in about
+    thirty seeds drew such a delivery blinding) agrees with the tree."""
+    gp = setup("toy")
+    for gid in ("g2", "g4"):
+        assert payoff_crosscheck(build_game(gid, STRONG), gp, seed)[1] == []
 
 
 def test_forked_cells_equal_fresh_runs_on_secp256k1(monkeypatch):
